@@ -6,10 +6,12 @@
 
 #include "LatencyHarness.h"
 
+#include "app/Firmware.h"
 #include "devices/MemoryMap.h"
 #include "devices/Net.h"
+#include "traffic/Checkpoint.h"
 
-#include <memory>
+#include <vector>
 
 using namespace b2;
 using namespace b2::bench;
@@ -44,56 +46,49 @@ b2::bench::measureResponse(const SysConfig &Config,
   }
   Out.CodeBytes = C.Prog->CodeBytes;
 
-  SpiConfig Spi;
-  Spi.FifoDepth = Config.SpiPipelining ? 8 : 1;
-  Platform Plat(Spi);
+  traffic::MachineConfig Machine;
+  Machine.Spi.FifoDepth = Config.SpiPipelining ? 8 : 1;
+  traffic::SoakMachine M(*C.Prog,
+                         Config.KamiCore ? traffic::SoakCore::Pipelined
+                                         : traffic::SoakCore::SpecCore,
+                         DefaultRamBytes, riscv::ExecMode::Reference, Machine);
 
   // Schedule alternating commands, spaced far enough apart that every
   // frame is handled in its own loop iteration.
   constexpr uint64_t FirstAtOp = 2500;
   constexpr uint64_t Spacing = 4000;
-  std::vector<uint64_t> DeliveryOps;
+  std::vector<ScheduledFrame> Frames;
   for (unsigned K = 0; K != NumPackets; ++K) {
-    uint64_t At = FirstAtOp + K * Spacing;
-    Plat.scheduleFrame(At, buildCommandFrame(K % 2 == 0));
-    DeliveryOps.push_back(At);
+    Frames.push_back(ScheduledFrame{FirstAtOp + K * Spacing,
+                                    buildCommandFrame(K % 2 == 0), false});
+    M.platform().scheduleFrame(Frames.back().AtOp, Frames.back().Frame);
   }
 
-  kami::Bram Mem(DefaultRamBytes);
-  Mem.loadImage(C.Prog->image());
-
-  std::unique_ptr<kami::PipelinedCore> Pipe;
-  std::unique_ptr<kami::SpecCore> Spec;
-  if (Config.KamiCore)
-    Pipe = std::make_unique<kami::PipelinedCore>(Mem, Plat);
-  else
-    Spec = std::make_unique<kami::SpecCore>(Mem, Plat);
-
-  auto Labels = [&]() -> const kami::LabelTrace & {
-    return Config.KamiCore ? Pipe->labels() : Spec->labels();
-  };
-  auto GpioStores = [&]() {
-    uint64_t N = 0;
-    for (const kami::Label &L : Labels())
-      if (L.MethodKind == kami::Label::Kind::MmioStore &&
-          L.Addr == GpioOutputVal)
-        ++N;
-    return N;
-  };
-
-  // Run until every packet has been actuated (alternating commands all
-  // produce a store) or the cycle budget runs out.
-  constexpr uint64_t MaxCycles = 2'000'000'000;
-  uint64_t Elapsed = 0;
-  while (GpioStores() < NumPackets && Elapsed < MaxCycles) {
-    if (Config.KamiCore)
-      Pipe->run(100'000);
-    else
-      Spec->run(100'000);
-    Elapsed += 100'000;
+  // Run until the scenario has drained. The pipelined SPI driver leaves
+  // goodHlTrace (section 7.2.1), so a rejection by the loop's streaming
+  // monitor does not end the run: the loop is resumed where it returned.
+  traffic::SoakOptions Loop;
+  Loop.HonorSchedule = true;
+  traffic::ShardExit Exit;
+  do
+    Exit = traffic::runShardLoop(M, Frames.data(),
+                                 Frames.data() + Frames.size(), Loop);
+  while (Exit == traffic::ShardExit::Violated);
+  if (Exit != traffic::ShardExit::Completed) {
+    Out.Error = "the scenario did not drain within the cycle budget";
+    return Out;
   }
-  if (GpioStores() < NumPackets) {
-    Out.Error = "not all packets were actuated within the cycle budget";
+
+  // One pass over the label log for the actuations (GPIO output_val
+  // stores); alternating commands each produce one.
+  const kami::LabelTrace &L = M.labels();
+  std::vector<uint64_t> Actuations;
+  for (const kami::Label &E : L)
+    if (E.MethodKind == kami::Label::Kind::MmioStore &&
+        E.Addr == GpioOutputVal)
+      Actuations.push_back(E.Cycle);
+  if (Actuations.size() < NumPackets) {
+    Out.Error = "not all packets were actuated before the scenario drained";
     return Out;
   }
 
@@ -101,24 +96,20 @@ b2::bench::measureResponse(const SysConfig &Config,
   // Label index i corresponds to platform MMIO operation i+1, so the
   // label at index AtOp-1 is the operation during which the frame was
   // delivered.
-  const kami::LabelTrace &L = Labels();
   double Sum = 0;
   unsigned Counted = 0;
-  size_t NextStore = 0;
-  for (uint64_t At : DeliveryOps) {
-    if (At - 1 >= L.size())
+  size_t Next = 0;
+  for (const ScheduledFrame &F : Frames) {
+    if (F.AtOp - 1 >= L.size())
       break;
-    uint64_t Start = L[size_t(At - 1)].Cycle;
-    // First GPIO store at or after the delivery.
-    while (NextStore < L.size() &&
-           !(L[NextStore].MethodKind == kami::Label::Kind::MmioStore &&
-             L[NextStore].Addr == GpioOutputVal &&
-             L[NextStore].Cycle >= Start))
-      ++NextStore;
-    if (NextStore == L.size())
+    uint64_t Start = L[size_t(F.AtOp - 1)].Cycle;
+    // First actuation at or after the delivery.
+    while (Next < Actuations.size() && Actuations[Next] < Start)
+      ++Next;
+    if (Next == Actuations.size())
       break;
-    Sum += double(L[NextStore].Cycle - Start);
-    ++NextStore;
+    Sum += double(Actuations[Next] - Start);
+    ++Next;
     ++Counted;
   }
   if (Counted == 0) {
@@ -129,7 +120,5 @@ b2::bench::measureResponse(const SysConfig &Config,
   Out.Ok = true;
   Out.Packets = Counted;
   Out.MeanCyclesPerPacket = Sum / Counted;
-  Out.TotalCycles = Config.KamiCore ? Pipe->cycles() : Spec->cycles();
-  Out.Retired = Config.KamiCore ? Pipe->retired() : Spec->retired();
   return Out;
 }

@@ -11,7 +11,8 @@
 /// output." Here the moment of handover is the MMIO operation at which the
 /// platform delivers the frame, and the actuation is the GPIO output_val
 /// store; both carry cycle stamps in the label trace, so the latency is
-/// exact in cycles.
+/// exact in cycles. The system runs on traffic::SoakMachine, the stack's
+/// one whole-system runner, until the scenario has drained.
 ///
 /// A SysConfig selects one point of the paper's factor decomposition:
 /// 10x ~= (1.4x SPI-interleaving x 1.2x timeouts) x 2.1x compiler x 2.7x
@@ -22,15 +23,10 @@
 #ifndef B2_BENCH_LATENCYHARNESS_H
 #define B2_BENCH_LATENCYHARNESS_H
 
-#include "app/Firmware.h"
 #include "compiler/Compile.h"
-#include "devices/Platform.h"
-#include "kami/PipelinedCore.h"
-#include "kami/SpecCore.h"
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace b2 {
 namespace bench {
@@ -64,8 +60,6 @@ struct LatencyMeasurement {
   std::string Error;
   double MeanCyclesPerPacket = 0;
   uint64_t Packets = 0;
-  uint64_t TotalCycles = 0;
-  uint64_t Retired = 0;
   Word CodeBytes = 0;
 
   /// Milliseconds at the paper's 12 MHz FPGA clock.

@@ -33,6 +33,7 @@
 #include "riscv/Step.h"
 #include "support/Json.h"
 #include "support/Metrics.h"
+#include "traffic/Checkpoint.h"
 #include "verify/EndToEnd.h"
 
 #include <algorithm>
@@ -311,27 +312,33 @@ int main(int argc, char **argv) {
     verify::E2EScenario S;
     S.Frames.push_back({2000, devices::buildCommandFrame(true), false});
     verify::E2EOptions O;
-    O.Core = verify::CoreKind::IsaSim;
+    O.Core = traffic::SoakCore::IsaSim;
     O.MaxCycles = Quick ? 4'000'000 : 20'000'000;
-    // One untimed warmup per mode (allocator, page, and matcher warmup),
-    // then the best of several repetitions of each, timed by the run's
-    // own RunSeconds (the execution loop alone — machine construction
-    // and the engine-independent trace-spec verification are not
-    // simulator throughput). Every repetition's observables are
-    // compared — the differential claim covers all of them, not just
-    // one pair.
+    // One checked end-to-end run per mode (also the allocator, page, and
+    // matcher warmup), then the best of several repetitions of the core
+    // alone: a fresh machine runs the checked run's cycle count in one
+    // runChunk, so machine construction, monitor polls, and the
+    // engine-independent trace-spec verification are not counted as
+    // simulator throughput. Every repetition's trace, retirement count,
+    // and light history must equal the checked run's — the differential
+    // claim covers all of them, not just one pair.
     const int FwReps = Quick ? 3 : 8;
     auto RunMode = [&](bool Cache, riscv::ExecMode Exec,
                        verify::E2EResult &Out) {
-      O.SimDecodeCache = Cache;
+      O.Machine.SimDecodeCache = Cache;
       O.SimExec = Exec;
       Out = verify::runCompiledEndToEnd(*C.Prog, S, O);
       double Best = 1e99;
       for (int I = 0; I != FwReps; ++I) {
-        verify::E2EResult R = verify::runCompiledEndToEnd(*C.Prog, S, O);
-        Best = std::min(Best, R.RunSeconds);
-        if (!(R.Trace == Out.Trace) || R.Retired != Out.Retired ||
-            R.Ok != Out.Ok)
+        traffic::SoakMachine M(*C.Prog, O.Core, O.RamBytes, Exec, O.Machine);
+        for (const devices::ScheduledFrame &F : S.Frames)
+          M.platform().scheduleFrame(F.AtOp, F.Frame, F.Errored);
+        bool Ok = true;
+        double Start = now();
+        M.runChunk(Out.Cycles, Ok);
+        Best = std::min(Best, now() - Start);
+        if (!Ok || !(M.trace() == Out.Trace) || M.retired() != Out.Retired ||
+            M.platform().gpio().lightHistory() != Out.LightHistory)
           return -1.0;
       }
       return Best;

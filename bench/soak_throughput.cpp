@@ -10,6 +10,10 @@
 // failure here is a bench failure. Emits machine-readable BENCH_soak.json
 // so the perf trajectory is tracked PR over PR.
 //
+// A scaling row soaks one pipelined valid-mix shard at N and 8N frames and
+// gates the per-frame host-cost ratio at <= 1.25 (cost linear in stream
+// length); --quick prints the ratio without gating it.
+//
 // Usage: soak_throughput [--quick]   (--quick shrinks the measurement for
 // CI smoke runs)
 //
@@ -21,6 +25,7 @@
 #include "traffic/Scenario.h"
 #include "traffic/Soak.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -116,6 +121,52 @@ int main(int argc, char **argv) {
              bench::fixed(R.FramesPerMcycle, 3)});
   Tab.print();
 
+  // Scaling: one pipelined valid-mix shard at N and 8N frames. The shard's
+  // trace, label log and delivery log all grow with its length, so any
+  // per-poll work proportional to their size shows up as a per-frame host
+  // cost that rises with N. Best of three runs each; the warm-boot cache
+  // is primed first so neither length pays for the boot.
+  const uint64_t ScaleFrames = Quick ? 25 : 250;
+  const double MaxScaleRatio = 1.25;
+  SoakOptions Scale;
+  Scale.Core = SoakCore::Pipelined;
+  Scale.Shards = 1;
+  auto PerFrameSeconds = [&](uint64_t Frames) {
+    ScenarioOptions G;
+    G.Seed = 7;
+    G.Frames = Frames;
+    TrafficStream Stream = generateScenario("valid-mix", G);
+    double Best = 1e99;
+    for (int Rep = 0; Rep != 3; ++Rep) {
+      double T0 = now();
+      SoakReport R = runSoak(*C.Prog, Stream, Scale, "valid-mix", G.Seed);
+      Best = std::min(Best, now() - T0);
+      if (!R.Ok) {
+        std::fprintf(stderr, "scaling soak FAILED at %llu frames\n",
+                     (unsigned long long)Frames);
+        AllOk = false;
+      }
+    }
+    return Best / double(Frames);
+  };
+  (void)PerFrameSeconds(1);
+  const double SmallCost = PerFrameSeconds(ScaleFrames);
+  const double LargeCost = PerFrameSeconds(8 * ScaleFrames);
+  const double ScaleRatio = SmallCost > 0 ? LargeCost / SmallCost : 0;
+  const bool ScaleOk = Quick || ScaleRatio <= MaxScaleRatio;
+  std::printf("\nscaling (pipelined valid-mix, one shard): %.1f us/frame at "
+              "%llu frames, %.1f us/frame at %llu frames: ratio %.2f (gate "
+              "<= %.2f%s)\n",
+              SmallCost * 1e6, (unsigned long long)ScaleFrames,
+              LargeCost * 1e6, (unsigned long long)(8 * ScaleFrames),
+              ScaleRatio, MaxScaleRatio, Quick ? ", not enforced in --quick" : "");
+  if (!ScaleOk) {
+    std::fprintf(stderr, "scaling gate FAILED: per-frame cost ratio %.2f > "
+                         "%.2f\n",
+                 ScaleRatio, MaxScaleRatio);
+    AllOk = false;
+  }
+
   support::JsonWriter J;
   J.beginObject();
   J.key("bench").value("soak_throughput");
@@ -135,6 +186,17 @@ int main(int argc, char **argv) {
     J.endObject();
   }
   J.endArray();
+  J.key("scaling").beginObject();
+  J.key("scenario").value("valid-mix");
+  J.key("core").value(soakCoreName(SoakCore::Pipelined));
+  J.key("frames_small").value(ScaleFrames);
+  J.key("frames_large").value(8 * ScaleFrames);
+  J.key("sec_per_frame_small").value(SmallCost);
+  J.key("sec_per_frame_large").value(LargeCost);
+  J.key("per_frame_cost_ratio").value(ScaleRatio);
+  J.key("max_ratio").value(MaxScaleRatio);
+  J.key("enforced").value(!Quick);
+  J.endObject();
   J.key("all_ok").value(AllOk);
   J.endObject();
   const char *OutPath = "BENCH_soak.json";

@@ -62,7 +62,7 @@ const compiler::CompiledProgram &firmwareBinary() {
 /// the sharding overhead is the thing being measured, not the core).
 verify::E2EOptions fleetOptions() {
   verify::E2EOptions O;
-  O.Core = verify::CoreKind::IsaSim;
+  O.Core = traffic::SoakCore::IsaSim;
   O.MaxCycles = 60'000'000;
   return O;
 }

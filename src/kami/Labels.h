@@ -49,7 +49,6 @@ using LabelTrace = std::vector<Label>;
 /// converted trace up to date without rebuilding it from scratch.
 inline size_t appendKamiLabelSeqR(const LabelTrace &Labels, size_t From,
                                   riscv::MmioTrace &Out) {
-  Out.reserve(Out.size() + (Labels.size() - From));
   for (size_t I = From; I < Labels.size(); ++I) {
     const Label &L = Labels[I];
     Out.push_back(riscv::MmioEvent{L.MethodKind == Label::Kind::MmioStore,

@@ -59,12 +59,14 @@ std::vector<bool> b2::traffic::expectedLightSequence(
 //===----------------------------------------------------------------------===//
 
 SoakMachine::SoakMachine(const compiler::CompiledProgram &Prog, SoakCore Core,
-                         Word RamBytes, riscv::ExecMode SimExec)
-    : Core(Core) {
+                         Word RamBytes, riscv::ExecMode SimExec,
+                         const MachineConfig &Config)
+    : Core(Core), Plat(Config.Spi) {
   switch (Core) {
   case SoakCore::IsaSim:
     Sim = std::make_unique<riscv::Machine>(RamBytes);
     Sim->loadImage(0, Prog.image());
+    Sim->setDecodeCacheEnabled(Config.SimDecodeCache);
     if (SimExec != riscv::ExecMode::Reference)
       Engine = std::make_unique<riscv::BlockEngine>(*Sim, Plat, SimExec);
     break;
@@ -110,17 +112,16 @@ const riscv::MmioTrace &SoakMachine::trace() {
   case SoakCore::IsaSim:
     return Sim->trace();
   case SoakCore::SpecCore:
-    ConvertedTrace.reserve(Spec->labels().size());
-    Converted =
-        kami::appendKamiLabelSeqR(Spec->labels(), Converted, ConvertedTrace);
-    return ConvertedTrace;
   case SoakCore::Pipelined:
-    ConvertedTrace.reserve(Pipe->labels().size());
-    Converted =
-        kami::appendKamiLabelSeqR(Pipe->labels(), Converted, ConvertedTrace);
+    Converted = kami::appendKamiLabelSeqR(labels(), Converted, ConvertedTrace);
     return ConvertedTrace;
   }
   return ConvertedTrace;
+}
+
+const kami::LabelTrace &SoakMachine::labels() const {
+  static const kami::LabelTrace None;
+  return Spec ? Spec->labels() : Pipe ? Pipe->labels() : None;
 }
 
 uint64_t SoakMachine::retired() const {

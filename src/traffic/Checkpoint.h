@@ -62,15 +62,31 @@ uint64_t soakTraceHash(const riscv::MmioTrace &T);
 std::vector<bool>
 expectedLightSequence(const std::vector<devices::ScheduledFrame> &Accepted);
 
-/// One shard's complete executable system: the selected core, its private
-/// platform, the incrementally converted MMIO trace, the streaming
-/// goodHlTrace monitor, and the delivery-loop cursor state. This is the
-/// unit of snapshot/restore — everything a shard run reads or writes.
+/// Substrate parameters a few callers move off the shipped system's
+/// defaults: the SPI FIFO depth (the section 7.2.1 pipelined-driver
+/// configuration) and the ISA simulator's predecode cache (the uncached
+/// throughput row). Soak shards always run the defaults, which is why the
+/// warm-boot cache does not key on it.
+struct MachineConfig {
+  devices::SpiConfig Spi; ///< Default: verified (no pipelining).
+  /// Predecoded-instruction fast path (SoakCore::IsaSim only). On by
+  /// default; off runs the uncached stepper for differential comparison.
+  bool SimDecodeCache = true;
+};
+
+/// The whole-system runner: the selected core running a compiled image
+/// against its private platform, the incrementally converted MMIO trace,
+/// the streaming goodHlTrace monitor, and the delivery-loop cursor state.
+/// Soak shards, the end-to-end checker (verify/EndToEnd.h), the shrink
+/// oracles and the latency benches all drive this one class through
+/// runShardLoop. It is also the unit of snapshot/restore — everything a
+/// run reads or writes.
 class SoakMachine {
 public:
   SoakMachine(const compiler::CompiledProgram &Prog, SoakCore Core,
               Word RamBytes,
-              riscv::ExecMode SimExec = riscv::ExecMode::Reference);
+              riscv::ExecMode SimExec = riscv::ExecMode::Reference,
+              const MachineConfig &Config = MachineConfig());
 
   /// Runs up to \p Cycles. Returns the number actually executed (the ISA
   /// simulator stops early on UB; the Kami cores always run the full
@@ -80,6 +96,10 @@ public:
   /// The machine's MMIO trace under KamiLabelSeqR, converted
   /// incrementally (O(new events) per call).
   const riscv::MmioTrace &trace();
+
+  /// The Kami core's label log, whose cycle stamps the converted trace
+  /// drops. Empty on the ISA simulator.
+  const kami::LabelTrace &labels() const;
 
   uint64_t retired() const;
 

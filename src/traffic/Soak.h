@@ -43,10 +43,8 @@
 namespace b2 {
 namespace traffic {
 
-/// Which execution substrate runs the firmware. Mirrors
-/// verify::CoreKind; redeclared here so the traffic library does not
-/// depend on b2_verify (the adequacy driver in b2_verify depends on
-/// traffic, and the layering must stay acyclic).
+/// Which execution substrate runs the firmware — for soak shards, the
+/// end-to-end checker (verify/EndToEnd.h) and the latency benches alike.
 enum class SoakCore : uint8_t {
   Pipelined, ///< The pipelined Kami processor (the theorem's p4mm).
   IsaSim,    ///< Software-oriented ISA semantics.
@@ -83,7 +81,8 @@ struct SoakOptions {
   bool CrossCheck = false;
   /// Deliver frames at their scheduled AtOp (devices::Platform
   /// scheduleFrame) instead of backpressure injection. Replay fidelity
-  /// for recorded corpora; throughput soaks leave it off.
+  /// for recorded corpora, and the mode of the end-to-end checker and the
+  /// latency benches; throughput soaks leave it off.
   bool HonorSchedule = false;
   /// Fault plan armed (via fi::FaultScope) inside every shard body; null
   /// arms nothing. Must outlive runSoak.

@@ -100,7 +100,7 @@ bool ExprArena::isConstZero(ExprRef R) const {
 }
 
 ExprRef ExprArena::op(BinOp O, ExprRef A, ExprRef B) {
-  Word CA, CB;
+  Word CA = 0, CB = 0;
   bool AConst = constValue(A, CA);
   bool BConst = constValue(B, CB);
   if (AConst && BConst)

@@ -424,7 +424,7 @@ std::vector<Stim> refinementStims() {
 
 bool e2eFails(const E2EScenario &S, std::string &Detail) {
   E2EOptions O;
-  O.Core = CoreKind::IsaSim;
+  O.Core = traffic::SoakCore::IsaSim;
   O.MaxCycles = 60'000'000;
   E2EResult R = runLightbulbEndToEnd(S, O);
   if (!R.Ok) {

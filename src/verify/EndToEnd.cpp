@@ -6,15 +6,9 @@
 
 #include "verify/EndToEnd.h"
 
-#include "app/LightbulbSpec.h"
 #include "devices/Net.h"
-#include "kami/SpecCore.h"
-#include "riscv/Machine.h"
-#include "riscv/Step.h"
 #include "support/Format.h"
-
-#include <chrono>
-#include <memory>
+#include "traffic/Monitor.h"
 
 using namespace b2;
 using namespace b2::verify;
@@ -22,142 +16,8 @@ using namespace b2::devices;
 
 namespace {
 
-/// Uniform driver over the three execution substrates.
-class SystemRunner {
-public:
-  SystemRunner(const compiler::CompiledProgram &Prog,
-               const E2EScenario &Scenario, const E2EOptions &Options)
-      : Options(Options), Plat(Options.Spi, Options.Lan) {
-    for (const ScheduledFrame &F : Scenario.Frames)
-      Plat.scheduleFrame(F.AtOp, F.Frame, F.Errored);
-    switch (Options.Core) {
-    case CoreKind::IsaSim:
-      Sim = std::make_unique<riscv::Machine>(Options.RamBytes);
-      Sim->loadImage(0, Prog.image());
-      Sim->setDecodeCacheEnabled(Options.SimDecodeCache);
-      if (Options.SimExec != riscv::ExecMode::Reference)
-        Engine =
-            std::make_unique<riscv::BlockEngine>(*Sim, Plat, Options.SimExec);
-      break;
-    case CoreKind::SpecCore:
-      Mem = std::make_unique<kami::Bram>(Options.RamBytes);
-      Mem->loadImage(Prog.image());
-      Spec = std::make_unique<kami::SpecCore>(*Mem, Plat);
-      break;
-    case CoreKind::Pipelined:
-      Mem = std::make_unique<kami::Bram>(Options.RamBytes);
-      Mem->loadImage(Prog.image());
-      Pipe = std::make_unique<kami::PipelinedCore>(*Mem, Plat, Options.Pipe);
-      break;
-    }
-  }
-
-  /// Runs \p Cycles cycles (instructions, for the ISA sim). Returns false
-  /// if the substrate cannot continue (ISA-sim UB).
-  bool run(uint64_t Cycles) {
-    switch (Options.Core) {
-    case CoreKind::IsaSim: {
-      if (Engine)
-        Engine->run(Cycles);
-      else
-        riscv::run(*Sim, Plat, Cycles);
-      if (Engine && Engine->divergences() > 0)
-        return false;
-      return !Sim->hasUb();
-    }
-    case CoreKind::SpecCore:
-      Spec->run(Cycles);
-      return true;
-    case CoreKind::Pipelined:
-      Pipe->run(Cycles);
-      return true;
-    }
-    return false;
-  }
-
-  /// Trace under KamiLabelSeqR, by reference: the ISA simulator's trace
-  /// is already in event form; the Kami cores' label sequences are
-  /// converted incrementally from the last watermark, so polling is O(new
-  /// events) instead of a full rebuild-and-copy per call.
-  const riscv::MmioTrace &trace() {
-    switch (Options.Core) {
-    case CoreKind::IsaSim:
-      return Sim->trace();
-    case CoreKind::SpecCore:
-      Converted = kami::appendKamiLabelSeqR(Spec->labels(), Converted,
-                                            ConvertedTrace);
-      return ConvertedTrace;
-    case CoreKind::Pipelined:
-      Converted = kami::appendKamiLabelSeqR(Pipe->labels(), Converted,
-                                            ConvertedTrace);
-      return ConvertedTrace;
-    }
-    return ConvertedTrace;
-  }
-
-  uint64_t retired() const {
-    switch (Options.Core) {
-    case CoreKind::IsaSim:
-      return Sim->retiredInstructions();
-    case CoreKind::SpecCore:
-      return Spec->retired();
-    case CoreKind::Pipelined:
-      return Pipe->retired();
-    }
-    return 0;
-  }
-
-  bool simUb() const {
-    return Options.Core == CoreKind::IsaSim && Sim->hasUb();
-  }
-
-  std::string simUbDetail() const {
-    return std::string(riscv::ubKindName(Sim->ubKind())) + ": " +
-           Sim->ubDetail();
-  }
-
-  bool engineDiverged() const { return Engine && Engine->divergences() > 0; }
-
-  std::string engineDivergenceDetail() const {
-    return Engine ? Engine->divergenceDetail() : std::string();
-  }
-
-  Platform &platform() { return Plat; }
-
-private:
-  const E2EOptions &Options;
-  Platform Plat;
-  std::unique_ptr<riscv::Machine> Sim;
-  std::unique_ptr<riscv::BlockEngine> Engine; ///< IsaSim non-Reference modes.
-  std::unique_ptr<kami::Bram> Mem;
-  std::unique_ptr<kami::SpecCore> Spec;
-  std::unique_ptr<kami::PipelinedCore> Pipe;
-  riscv::MmioTrace ConvertedTrace; ///< Incremental KamiLabelSeqR image.
-  size_t Converted = 0;            ///< Labels converted so far.
-};
-
-/// Ground truth: the distinct lightbulb states implied by the accepted
-/// frames (initial state off).
-std::vector<bool> expectedLightSequence(
-    const std::vector<ScheduledFrame> &Accepted) {
-  std::vector<bool> Out;
-  bool Light = false;
-  for (const ScheduledFrame &F : Accepted) {
-    if (F.Errored)
-      continue;
-    FrameClass C = classifyFrame(F.Frame);
-    if (!C.Valid)
-      continue;
-    if (C.CommandBit != Light) {
-      Light = C.CommandBit;
-      Out.push_back(Light);
-    } else {
-      // Re-asserting the same state performs a GPIO store but records no
-      // *distinct* state; history only tracks changes.
-    }
-  }
-  return Out;
-}
+/// Cycles (instructions, on the ISA simulator) between drain checks.
+constexpr uint64_t DrainChunk = 200'000;
 
 } // namespace
 
@@ -165,49 +25,43 @@ E2EResult b2::verify::runCompiledEndToEnd(const compiler::CompiledProgram &Prog,
                                           const E2EScenario &Scenario,
                                           const E2EOptions &Options) {
   E2EResult R;
-  SystemRunner Runner(Prog, Scenario, Options);
+  traffic::SoakMachine M(Prog, Options.Core, Options.RamBytes, Options.SimExec,
+                         Options.Machine);
+  for (const ScheduledFrame &F : Scenario.Frames)
+    M.platform().scheduleFrame(F.AtOp, F.Frame, F.Errored);
 
   // Run in chunks until the scenario is fully delivered and drained, then
-  // one settle chunk (so the final frame's iteration completes). Only
-  // this loop is timed: RunSeconds is the engine's execution cost, with
-  // construction and the verification passes below excluded.
-  uint64_t Elapsed = 0;
-  bool Drained = false;
-  auto RunStart = std::chrono::steady_clock::now();
-  while (Elapsed < Options.MaxCycles) {
-    if (!Runner.run(Options.DrainChunk)) {
-      if (Runner.engineDiverged())
-        R.Error = "ISA simulator engine divergence: " +
-                  Runner.engineDivergenceDetail();
-      else
-        R.Error = "ISA simulator hit UB: " + Runner.simUbDetail();
-      R.Trace = Runner.trace();
-      return R;
-    }
-    Elapsed += Options.DrainChunk;
-    // Delivery is op-count-based: once the op counter passed the last
-    // schedule point and the NIC queue is empty, the system is quiescent.
-    uint64_t LastAt = Scenario.Frames.empty() ? 0 : Scenario.Frames.back().AtOp;
-    if (Runner.platform().opCount() > LastAt + 100 &&
-        Runner.platform().nic().bufferedFrames() == 0) {
-      if (Drained)
-        break;
-      Drained = true; // One more settle chunk.
-    }
-  }
+  // one settle chunk (so the final frame's iteration completes), or until
+  // the budget runs out. The trace is judged as a whole below, so a
+  // rejection by the loop's streaming monitor does not end the run: the
+  // loop is resumed where it returned.
+  traffic::SoakOptions Loop;
+  Loop.HonorSchedule = true;
+  Loop.ChunkCycles = DrainChunk;
+  Loop.MaxCyclesPerShard = Options.MaxCycles;
+  const ScheduledFrame *Begin = Scenario.Frames.data();
+  const ScheduledFrame *End = Begin + Scenario.Frames.size();
+  traffic::ShardExit Exit;
+  do
+    Exit = traffic::runShardLoop(M, Begin, End, Loop);
+  while (Exit == traffic::ShardExit::Violated);
 
-  R.RunSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    RunStart)
-          .count();
-  R.Trace = Runner.trace();
-  R.Cycles = Elapsed;
-  R.Retired = Runner.retired();
-  R.AcceptedFrames = Runner.platform().acceptedFrames().size();
+  R.Trace = M.trace();
+  if (Exit == traffic::ShardExit::Diverged) {
+    R.Error =
+        "ISA simulator engine divergence: " + M.engineDivergenceDetail();
+    return R;
+  }
+  if (Exit == traffic::ShardExit::HitUb) {
+    R.Error = "ISA simulator hit UB: " + M.simUbDetail();
+    return R;
+  }
+  R.Cycles = M.Elapsed;
+  R.Retired = M.retired();
+  R.AcceptedFrames = M.platform().acceptedFrames().size();
 
   // The theorem's conclusion: prefix membership in goodHlTrace.
-  tracespec::Matcher M(app::goodHlTrace());
-  R.Diag = M.diagnose(R.Trace);
+  R.Diag = traffic::goodHlMatcher().diagnose(R.Trace);
   R.PrefixAccepted = R.Diag.PrefixAccepted;
   if (!R.PrefixAccepted) {
     R.Error = "trace rejected at event " + std::to_string(R.Diag.DeadAt) +
@@ -216,9 +70,9 @@ E2EResult b2::verify::runCompiledEndToEnd(const compiler::CompiledProgram &Prog,
   }
 
   // Ground truth: the lightbulb tracked exactly the valid commands.
-  R.LightHistory = Runner.platform().gpio().lightHistory();
+  R.LightHistory = M.platform().gpio().lightHistory();
   R.ExpectedLights =
-      expectedLightSequence(Runner.platform().acceptedFrames());
+      traffic::expectedLightSequence(M.platform().acceptedFrames());
   R.GroundTruthOk = R.LightHistory == R.ExpectedLights;
   if (!R.GroundTruthOk && R.Error.empty())
     R.Error = "lightbulb state history does not match the accepted valid "

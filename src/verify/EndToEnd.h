@@ -24,6 +24,13 @@
 /// state changes exactly according to the valid command frames the NIC
 /// accepted, no matter how malformed the other traffic was.
 ///
+/// The system itself is the stack's one whole-system runner,
+/// traffic::SoakMachine, driven by traffic::runShardLoop in schedule mode
+/// — the same machine and delivery loop that soak shards, the shrinker
+/// and the latency benches use. What is specific to this checker is the
+/// verdict: the whole trace judged offline by Matcher::diagnose, and the
+/// ground truth judged by traffic::expectedLightSequence.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef B2_VERIFY_ENDTOEND_H
@@ -32,10 +39,10 @@
 #include "app/Firmware.h"
 #include "compiler/Compile.h"
 #include "devices/Platform.h"
-#include "kami/PipelinedCore.h"
 #include "riscv/BlockEngine.h"
 #include "riscv/Mmio.h"
 #include "tracespec/Matcher.h"
+#include "traffic/Checkpoint.h"
 
 #include <cstdint>
 #include <string>
@@ -44,28 +51,16 @@
 namespace b2 {
 namespace verify {
 
-/// Which execution substrate runs the binary.
-enum class CoreKind : uint8_t {
-  IsaSim,    ///< Software-oriented ISA semantics.
-  SpecCore,  ///< Single-cycle Kami spec processor.
-  Pipelined, ///< The pipelined Kami processor (the theorem's p4mm).
-};
-
 struct E2EOptions {
   Word RamBytes = 64 * 1024;
-  CoreKind Core = CoreKind::Pipelined;
-  kami::PipeConfig Pipe;
-  devices::SpiConfig Spi;          ///< Default: verified (no pipelining).
-  devices::Lan9250::Config Lan;
+  traffic::SoakCore Core = traffic::SoakCore::Pipelined;
+  /// SPI FIFO depth and ISA decode cache; defaults are the verified
+  /// system.
+  traffic::MachineConfig Machine;
   app::FirmwareOptions Firmware;   ///< Default: verified firmware.
   compiler::CompilerOptions Compiler = compiler::CompilerOptions::o0();
   uint64_t MaxCycles = 400'000'000;
-  uint64_t DrainChunk = 200'000;   ///< Cycles per drain-check chunk.
-  /// Predecoded-instruction fast path of the ISA simulator (CoreKind::
-  /// IsaSim only). On by default; the switch exists so cached and
-  /// uncached runs can be compared differentially in one binary.
-  bool SimDecodeCache = true;
-  /// Execution engine of the ISA simulator (CoreKind::IsaSim only).
+  /// Execution engine of the ISA simulator (SoakCore::IsaSim only).
   /// Block runs the superblock trace engine; Differential additionally
   /// checks it in lockstep against the reference stepper and fails the
   /// run on the first divergence.
@@ -89,10 +84,6 @@ struct E2EResult {
   size_t AcceptedFrames = 0;
   uint64_t Cycles = 0;
   uint64_t Retired = 0;
-  double RunSeconds = 0; ///< Wall time of the execution loop alone —
-                         ///< machine construction, trace-spec matching,
-                         ///< and ground-truth checks excluded. This is
-                         ///< the number throughput benchmarks divide by.
 };
 
 /// Builds and runs the whole system on \p Scenario.

@@ -16,7 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <regex>
 #include <set>
+#include <sstream>
 #include <string>
 
 using namespace b2;
@@ -186,6 +189,39 @@ TEST(Adequacy, FaultNameListCoversTheRegistry) {
   std::string Names = fi::faultNameList();
   for (const fi::FaultInfo &F : fi::faultRegistry())
     EXPECT_NE(Names.find(F.Name), std::string::npos) << F.Name;
+}
+
+TEST(Adequacy, DocumentedFaultNamesAreRegistered) {
+  // Every backticked fault-like name in the user-facing docs must be a
+  // registered fault, so `--fault NAME` / `--only-fault NAME` copied from
+  // the docs works. Fault-like: at least three hyphenated lowercase
+  // segments, the first of which is a registered fault's layer prefix
+  // (`vc-smoke`, `valid-mix` and `b2stack-soak-v1` are not).
+  std::set<std::string> Names, Prefixes;
+  for (const fi::FaultInfo &F : fi::faultRegistry()) {
+    const std::string Name = F.Name;
+    Names.insert(Name);
+    Prefixes.insert(Name.substr(0, Name.find('-')));
+  }
+  const std::regex Token("`([a-z0-9]+)((-[a-z0-9]+){2,})`");
+  unsigned Checked = 0;
+  for (const char *Doc : {"DESIGN.md", "README.md", "EXPERIMENTS.md"}) {
+    std::ifstream In(std::string(B2_SOURCE_DIR) + "/" + Doc);
+    ASSERT_TRUE(In) << Doc;
+    std::stringstream Text;
+    Text << In.rdbuf();
+    const std::string S = Text.str();
+    for (std::sregex_iterator I(S.begin(), S.end(), Token), E; I != E; ++I) {
+      if (!Prefixes.count((*I)[1].str()))
+        continue;
+      ++Checked;
+      EXPECT_TRUE(Names.count((*I)[1].str() + (*I)[2].str()))
+          << Doc << " names `" << (*I)[1] << (*I)[2]
+          << "`, which is not a registered fault; registered: "
+          << fi::faultNameList();
+    }
+  }
+  EXPECT_GT(Checked, 0u);
 }
 
 // -- Determinism -------------------------------------------------------------

@@ -27,6 +27,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace b2;
 using namespace b2::traffic;
 
@@ -180,6 +182,37 @@ TEST(Checkpoint, SoakMachineRestoreReplaysIdentically) {
   ASSERT_TRUE(Ok);
   EXPECT_EQ(M.retired(), RetiredStraight);
   EXPECT_EQ(soakTraceHash(M.trace()), HashStraight);
+}
+
+// -- Trace growth ------------------------------------------------------------
+
+TEST(Checkpoint, ConvertedTraceGrowsGeometricallyAcrossPolls) {
+  // The converted MMIO trace is polled after every chunk. Growing it by
+  // an exact reserve per poll reallocates and copies the whole trace each
+  // time, so a shard's cost grows quadratically with its length; with
+  // geometric growth the capacity changes only logarithmically often.
+  // runShardLoop is driven one chunk per call (the budget is raised by one
+  // chunk each time) so the capacity is sampled after every poll.
+  const std::vector<devices::ScheduledFrame> Frames = scenarioFrames(5, 200);
+  SoakOptions O;
+  O.Core = SoakCore::Pipelined;
+  SoakMachine M(soakFirmware(), O.Core, O.RamBytes);
+  size_t Capacity = M.trace().capacity();
+  unsigned Changes = 0, Polls = 0;
+  ShardExit E;
+  do {
+    O.MaxCyclesPerShard = M.Elapsed + O.ChunkCycles;
+    E = runShardLoop(M, Frames.data(), Frames.data() + Frames.size(), O);
+    ++Polls;
+    Changes += M.trace().capacity() != Capacity;
+    Capacity = M.trace().capacity();
+  } while (E == ShardExit::BudgetExhausted);
+  ASSERT_EQ(E, ShardExit::Completed);
+  ASSERT_EQ(M.NextFrame, Frames.size());
+  const size_t Events = M.trace().size();
+  ASSERT_GT(Events, 0u);
+  EXPECT_LE(Changes, 2 * std::log2(double(Events)) + 8)
+      << Polls << " polls, " << Events << " events";
 }
 
 // -- Snapshot-resume vs. straight-through bit-identity -----------------------

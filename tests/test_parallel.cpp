@@ -149,7 +149,7 @@ const compiler::CompiledProgram &firmware() {
 TEST(ParallelDriver, EndToEndFuzzFleetIsThreadCountInvariant) {
   std::vector<uint64_t> Seeds = fleetSeeds(42, 4);
   E2EOptions O;
-  O.Core = CoreKind::IsaSim;
+  O.Core = traffic::SoakCore::IsaSim;
   FleetReport Seq = endToEndFuzzFleet(firmware(), O, Seeds, 2, 1);
   FleetReport Par = endToEndFuzzFleet(firmware(), O, Seeds, 2, 3);
   EXPECT_TRUE(Seq.allOk()) << Seq.firstError();
@@ -168,7 +168,7 @@ TEST(ParallelDriver, EndToEndFuzzFleetIsEngineModeInvariant) {
   // counts, and trace hashes — across three engines and any thread count.
   std::vector<uint64_t> Seeds = fleetSeeds(42, 4);
   E2EOptions O;
-  O.Core = CoreKind::IsaSim;
+  O.Core = traffic::SoakCore::IsaSim;
   O.SimExec = riscv::ExecMode::Reference;
   FleetReport Ref = endToEndFuzzFleet(firmware(), O, Seeds, 2, 1);
   EXPECT_TRUE(Ref.allOk()) << Ref.firstError();

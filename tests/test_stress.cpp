@@ -188,7 +188,7 @@ TEST(SpecNegative, PipelinedSpiDriverViolatesGoodHlTrace) {
   // vacuously lax — while the physical lightbulb behavior stays correct.
   E2EOptions O;
   O.Firmware.SpiPipelining = true;
-  O.Spi.FifoDepth = 8;
+  O.Machine.Spi.FifoDepth = 8;
   E2EScenario S;
   S.Frames.push_back({2000, devices::buildCommandFrame(true), false});
   E2EResult R = runLightbulbEndToEnd(S, O);

@@ -254,8 +254,9 @@ TEST(MatcherStream, FuzzedAgreesWithBatchApis) {
       Trace P(T.begin(), T.begin() + K + 1);
       ASSERT_EQ(St.alive(), M.acceptsPrefix(P)) << "round " << Round;
       ASSERT_EQ(Fed, St.alive()) << "round " << Round;
-      if (St.alive())
+      if (St.alive()) {
         ASSERT_EQ(St.accepted(), M.matches(P)) << "round " << Round;
+      }
     }
     MatchDiagnosis D = M.diagnose(T);
     ASSERT_EQ(St.alive(), D.PrefixAccepted) << "round " << Round;
