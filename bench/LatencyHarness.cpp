@@ -46,12 +46,12 @@ b2::bench::measureResponse(const SysConfig &Config,
   }
   Out.CodeBytes = C.Prog->CodeBytes;
 
-  traffic::MachineConfig Machine;
-  Machine.Spi.FifoDepth = Config.SpiPipelining ? 8 : 1;
+  devices::SpiConfig Spi;
+  Spi.FifoDepth = Config.SpiPipelining ? 8 : 1;
   traffic::SoakMachine M(*C.Prog,
                          Config.KamiCore ? traffic::SoakCore::Pipelined
                                          : traffic::SoakCore::SpecCore,
-                         DefaultRamBytes, riscv::ExecMode::Reference, Machine);
+                         DefaultRamBytes, riscv::ExecMode::Block, Spi);
 
   // Schedule alternating commands, spaced far enough apart that every
   // frame is handled in its own loop iteration.

@@ -16,6 +16,7 @@
 #include "isa/Disasm.h"
 #include "isa/Encoding.h"
 #include "kami/PipelinedCore.h"
+#include "riscv/BlockEngine.h"
 #include "riscv/Machine.h"
 #include "riscv/Step.h"
 
@@ -57,70 +58,51 @@ int main() {
   std::printf("  i$ word at 16 is still   %s\n\n",
               disasm(decode(Core.icache().fetch(16))).c_str());
 
-  // Software semantics: the fetch at 16 is undefined behavior. Run it
-  // twice — once with the predecoded-instruction cache (the default) and
-  // once without. The cache's invalidation set is exactly the XAddrs
-  // removal set, so it acts as a *second witness* of the discipline: the
-  // store drops the cached line and the refetch still reports
-  // FetchNotExecutable rather than replaying the stale decode.
+  // Software semantics: the fetch at 16 is undefined behavior.
   riscv::Machine M(4096);
   M.loadImage(0, Image);
   riscv::NoDevice DevB;
   riscv::run(M, DevB, 100);
-  std::printf("ISA semantics (decode cache on):  %s at pc 16 -> %s (%s)\n",
+  std::printf("ISA semantics: %s at pc 16 -> %s (%s)\n",
               M.hasUb() ? "flagged UB" : "no UB",
               riscv::ubKindName(M.ubKind()), M.ubDetail().c_str());
-  const riscv::DecodeCacheStats &CS = M.decodeCacheStats();
-  std::printf("  decode cache: %llu hits, %llu misses, %llu lines "
-              "invalidated by the store\n",
-              (unsigned long long)CS.Hits, (unsigned long long)CS.Misses,
-              (unsigned long long)CS.Invalidations);
 
-  riscv::Machine MU(4096);
-  MU.loadImage(0, Image);
-  MU.setDecodeCacheEnabled(false);
-  riscv::NoDevice DevC;
-  riscv::run(MU, DevC, 100);
-  std::printf("ISA semantics (decode cache off): %s at pc 16 -> %s\n",
-              MU.hasUb() ? "flagged UB" : "no UB",
-              riscv::ubKindName(MU.ubKind()));
-
-  bool SameVerdict = M.ubKind() == MU.ubKind() && M.getPc() == MU.getPc() &&
-                     M.retiredInstructions() == MU.retiredInstructions();
-  std::printf("cached and uncached verdicts agree: %s\n",
-              SameVerdict ? "yes" : "NO");
-
-  // Sharper variant: execute the victim once FIRST, so its decoded form
-  // is sitting in the ISA simulator's predecode cache, then overwrite it
-  // and jump back into it. The store must drop the cached line (the
-  // invalidation set is the XAddrs removal set) and the refetch must
-  // still be flagged — never a silent replay of the stale decode.
-  std::printf("\n-- with the victim already predecoded --\n");
+  // Sharper variant: the victim heads a hot loop, so the block engine
+  // has translated it into a superblock before the store patches it.
+  // The store removes the word from XAddrs, which kills the superblock,
+  // and the refetch must be flagged on both engines — never a silent
+  // replay of the stale trace. The reference stepper is the second
+  // witness: it keeps no translations at all.
+  std::printf("\n-- with the victim inside a translated hot loop --\n");
   std::vector<Instr> P2;
-  std::vector<Instr> Mat2;
-  materialize(NewInstr, A0, Mat2);
-  P2.insert(P2.end(), Mat2.begin(), Mat2.end());
+  materialize(NewInstr, A0, P2);
   while (P2.size() < 2)
     P2.push_back(nop());
-  P2.push_back(mkB(Opcode::Bne, A5, Zero, 16)); // pc 8: 2nd pass -> pc 24.
-  P2.push_back(addi(A1, Zero, 7));              // pc 12: the victim.
-  P2.push_back(addi(A5, Zero, 1));              // pc 16.
-  P2.push_back(jal(Zero, -12));                 // pc 20: back to pc 8.
-  P2.push_back(sw(Zero, A0, 12));               // pc 24: overwrite pc 12.
-  P2.push_back(jal(Zero, -16));                 // pc 28: back into pc 12.
+  P2.push_back(addi(A2, Zero, 100));            // pc 8: iteration count.
+  P2.push_back(addi(A3, Zero, 0));              // pc 12.
+  P2.push_back(addi(A1, Zero, 7));              // pc 16: the victim.
+  P2.push_back(addi(A3, A3, 1));                // pc 20.
+  P2.push_back(mkB(Opcode::Bne, A3, A2, -8));   // pc 24: back to pc 16.
+  P2.push_back(sw(Zero, A0, 16));               // pc 28: overwrite pc 16.
+  P2.push_back(jal(Zero, -16));                 // pc 32: back into pc 16.
+  std::vector<uint8_t> Image2 = instrencode(P2);
 
-  riscv::Machine M2(4096);
-  M2.loadImage(0, instrencode(P2));
-  riscv::NoDevice DevD;
-  riscv::run(M2, DevD, 100);
-  const riscv::DecodeCacheStats &CS2 = M2.decodeCacheStats();
-  std::printf("victim executed once (a1 = %u), then overwritten: %s (%s)\n",
-              M2.getReg(A1), riscv::ubKindName(M2.ubKind()),
-              M2.ubDetail().c_str());
-  std::printf("  decode cache: %llu hits, %llu misses, %llu line(s) "
-              "invalidated by the store\n",
-              (unsigned long long)CS2.Hits, (unsigned long long)CS2.Misses,
-              (unsigned long long)CS2.Invalidations);
+  riscv::Machine Ref(4096), Blk(4096);
+  Ref.loadImage(0, Image2);
+  Blk.loadImage(0, Image2);
+  riscv::NoDevice DevC, DevD;
+  riscv::BlockEngine E(Blk, DevD, riscv::ExecMode::Block);
+  riscv::run(Ref, DevC, 1000);
+  E.run(1000);
+  for (const riscv::Machine *X : {&Ref, &Blk})
+    std::printf("%s: a1 = %u, %s (%s)\n",
+                X == &Ref ? "reference stepper" : "block engine     ",
+                X->getReg(A1), riscv::ubKindName(X->ubKind()),
+                X->ubDetail().c_str());
+  std::printf("  block engine: %llu superblock(s) translated, %llu killed "
+              "by the store\n",
+              (unsigned long long)E.stats().BlocksTranslated,
+              (unsigned long long)E.stats().BlocksKilled);
 
   std::printf("\nthe compiler-correctness proof obligates compiled code "
               "never to reach this state:\nevery store removes its "
@@ -128,8 +110,10 @@ int main() {
               "(section 5.6).\n");
 
   bool Demo = Core.getReg(A1) == 7 &&
-              M.ubKind() == riscv::UbKind::FetchNotExecutable && SameVerdict &&
-              M2.ubKind() == riscv::UbKind::FetchNotExecutable &&
-              M2.getReg(A1) == 7 && CS2.Invalidations > 0 && CS2.Hits > 0;
+              M.ubKind() == riscv::UbKind::FetchNotExecutable &&
+              E.stats().BlocksKilled > 0;
+  for (const riscv::Machine *X : {&Ref, &Blk})
+    Demo = Demo && X->ubKind() == riscv::UbKind::FetchNotExecutable &&
+           X->getPc() == 16 && X->getReg(A1) == 7;
   return Demo ? 0 : 1;
 }

@@ -33,7 +33,7 @@
 /// ExecMode selects reference, fast, or differential-both; in differential
 /// mode every callFunction runs both engines and demands bit-identical
 /// ExecResults, making the bytecode path a second semantics witness in the
-/// same style as the ISA simulator's decode cache (DESIGN.md section 4).
+/// same style as the ISA simulator's block engine (DESIGN.md section 4).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -56,10 +56,6 @@ BlockEngine::BlockEngine(Machine &M, MmioDevice &Device, ExecMode Mode)
   CoverCount.assign(Words, 0);
   CoverBits.assign((Words + 63) / 64, 0);
   IndexByWord.assign(Words, -1);
-  // The trace cache replaces the predecoded fast path; cold stepping runs
-  // the slow fetch, keeping decode-cache state identically empty across
-  // every Block-engine run (snapshots stay comparable within the mode).
-  M.setDecodeCacheEnabled(false);
   M.setInvalidationListener(this);
   if (Mode == ExecMode::Differential)
     ShadowStale = true;
@@ -95,7 +91,6 @@ void BlockEngine::publishMetrics() {
   metrics::add(Id::SimBlockInvalProbes,
                Stats.InvalProbes - Published.InvalProbes);
   Published = Stats;
-  M.publishMetrics();
 }
 
 void BlockEngine::flushTranslations() {

@@ -25,8 +25,8 @@
 /// engines.
 ///
 /// Stale-trace discipline: translation covers a set of instruction words,
-/// and the machine reports every decode-invalidation set (== the XAddrs
-/// removal set of paper section 5.6) through InvalidationListener; any
+/// and the machine reports every XAddrs removal set (paper section 5.6)
+/// and host-level RAM poke through InvalidationListener; any
 /// superblock overlapping the set is killed, including the block
 /// currently executing (which commits the completed instruction and
 /// side-exits). Whole-machine restore flushes the translation cache —
@@ -59,7 +59,7 @@ namespace riscv {
 
 /// Which execution engine drives a machine.
 enum class ExecMode : uint8_t {
-  Reference,    ///< The reference stepper with the predecoded fast path.
+  Reference,    ///< The reference stepper (riscv/Step.h): the spec.
   Block,        ///< Superblock traces with reference-stepper fallback.
   Differential, ///< Block engine checked in lockstep against Reference.
 };
@@ -99,10 +99,8 @@ struct BlockEngineStats {
 
 /// The two-tier engine. Owns the machine's execution strategy for its
 /// lifetime: construction in Block/Differential mode installs the
-/// invalidation listener and disables the predecoded fast path (the trace
-/// cache replaces it, and the slow-path fallback keeps decode-cache state
-/// empty so engine choice never changes within-engine snapshot compares).
-/// At most one engine may drive a machine at a time.
+/// invalidation listener. At most one engine may drive a machine at a
+/// time.
 class BlockEngine final : public InvalidationListener {
 public:
   BlockEngine(Machine &M, MmioDevice &Device, ExecMode Mode);
@@ -128,11 +126,10 @@ public:
   /// is untouched; execution re-warms from the stepper.
   void flushTranslations();
 
-  /// Publishes the stat deltas since the last publish (plus the driven
-  /// machine's decode-cache deltas) to the global metrics registry.
-  /// Called automatically at the end of every run() chunk and on
-  /// destruction; Stats itself is monotone for the engine's lifetime,
-  /// so deltas never underflow.
+  /// Publishes the stat deltas since the last publish to the global
+  /// metrics registry. Called automatically at the end of every run()
+  /// chunk and on destruction; Stats itself is monotone for the engine's
+  /// lifetime, so deltas never underflow.
   void publishMetrics();
 
   // -- InvalidationListener -------------------------------------------------

@@ -7,7 +7,6 @@
 #include "riscv/Machine.h"
 
 #include "support/Format.h"
-#include "support/Metrics.h"
 #include "verify/FaultInjection.h"
 
 using namespace b2;
@@ -58,8 +57,7 @@ const char *b2::riscv::ubKindName(UbKind K) {
 }
 
 Machine::Machine(Word RamSize)
-    : Ram(RamSize, 0), XBits((size_t(RamSize) + 63) / 64, ~uint64_t(0)),
-      DecodeCache(RamSize / 4), DecodeValid((size_t(RamSize) / 4 + 63) / 64, 0) {
+    : Ram(RamSize, 0), XBits((size_t(RamSize) + 63) / 64, ~uint64_t(0)) {
   assert(RamSize > 0 && RamSize % 4 == 0 && "RAM size must be a multiple of 4");
 }
 
@@ -76,7 +74,7 @@ void Machine::writeRam(Word Addr, unsigned Size, Word V) {
   for (unsigned I = 0; I != Size; ++I)
     Ram[Addr + I] = uint8_t((V >> (8 * I)) & 0xFF);
   RamCow.markDirtyRange(Addr, size_t(Addr) + Size);
-  invalidateDecode(Addr, Size);
+  notifyInvalidation(Addr, Size);
 }
 
 void Machine::loadImage(Word Addr, const std::vector<uint8_t> &Image) {
@@ -84,16 +82,14 @@ void Machine::loadImage(Word Addr, const std::vector<uint8_t> &Image) {
   for (size_t I = 0; I != Image.size(); ++I)
     Ram[Addr + I] = Image[I];
   RamCow.markDirtyRange(Addr, size_t(Addr) + Image.size());
-  invalidateDecode(Addr, Word(Image.size()));
+  notifyInvalidation(Addr, Word(Image.size()));
 }
 
 void Machine::storeRam(Word Addr, unsigned Size, Word V) {
   assert(inRam(Addr, Size) && "RAM store out of range");
   if (Size == 4 && (Addr & 3) == 0) {
-    // Superblocks may cover words that never had a decode line, so the
-    // listener fires on the removal set itself, not on dropped lines.
-    if (storeWordNoNotify(Addr, V) && Listener)
-      Listener->onInvalidate(Addr >> 2, Addr >> 2);
+    if (storeWordNoNotify(Addr, V))
+      notifyInvalidation(Addr, 4);
     return;
   }
   for (unsigned I = 0; I != Size; ++I)
@@ -125,7 +121,7 @@ bool Machine::xBitsAllSet(Word Addr, Word Len) const {
 void Machine::removeXAddrs(Word Addr, unsigned Size) {
   // Common case: the whole range is in RAM (no 2^32 wrap-around, no bytes
   // past the end), so the bits clear with at most two block masks and one
-  // ranged cache invalidation.
+  // ranged listener notification.
   if (Size != 0 && inRam(Addr, Size)) {
     size_t First = Addr >> 6;
     size_t Last = (size_t(Addr) + Size - 1) >> 6;
@@ -139,7 +135,7 @@ void Machine::removeXAddrs(Word Addr, unsigned Size) {
         XBits[B] = 0;
       XBits[Last] &= ~LastMask;
     }
-    invalidateDecode(Addr, Size);
+    notifyInvalidation(Addr, Size);
     return;
   }
   // Rare case: per-byte semantics with address wrap-around (Addr + I
@@ -150,29 +146,18 @@ void Machine::removeXAddrs(Word Addr, unsigned Size) {
     if (!inRam(A, 1))
       continue;
     XBits[A >> 6] &= ~(uint64_t(1) << (A & 63));
-    invalidateDecode(A, 1);
+    notifyInvalidation(A, 1);
   }
 }
 
-void Machine::invalidateDecode(Word Addr, Word Len) {
-  if (Len == 0)
+void Machine::notifyInvalidation(Word Addr, Word Len) {
+  if (!Listener || Len == 0)
     return;
-  if (fi::on(fi::Fault::SimDecodeCacheNoInvalidate))
-    return; // Seeded bug: removal without line invalidation.
+  size_t Words = Ram.size() / 4;
   size_t FirstW = Addr >> 2;
   size_t LastW = (size_t(Addr) + Len - 1) >> 2;
-  for (size_t W = FirstW; W <= LastW && W < DecodeCache.size(); ++W) {
-    uint64_t Bit = uint64_t(1) << (W & 63);
-    if (DecodeValid[W >> 6] & Bit) {
-      DecodeValid[W >> 6] &= ~Bit;
-      ++CacheStats.Invalidations;
-    }
-  }
-  // Superblocks may cover words that never had a decode line, so the
-  // listener fires on the removal set itself, not on dropped lines.
-  if (Listener && FirstW < DecodeCache.size())
-    Listener->onInvalidate(
-        FirstW, LastW < DecodeCache.size() ? LastW : DecodeCache.size() - 1);
+  if (FirstW < Words)
+    Listener->onInvalidate(FirstW, LastW < Words ? LastW : Words - 1);
 }
 
 void Machine::markUb(UbKind K, std::string Detail) {
@@ -188,9 +173,6 @@ Machine::Snapshot Machine::snapshot() {
   S.Pc = Pc;
   S.Ram = RamCow.snapshot(Ram);
   S.XBits = XBits;
-  S.DecodeCache = DecodeCow.snapshot(DecodeCache);
-  S.DecodeValid = DecodeValid;
-  S.CacheStats = CacheStats;
   S.Ub = Ub;
   S.UbMessage = UbMessage;
   S.Trace = TraceChain.snapshot(Trace);
@@ -198,29 +180,11 @@ Machine::Snapshot Machine::snapshot() {
   return S;
 }
 
-void Machine::publishMetrics() {
-  metrics::add(metrics::Id::SimDecodeHits, CacheStats.Hits - PubCacheStats.Hits);
-  metrics::add(metrics::Id::SimDecodeMisses,
-               CacheStats.Misses - PubCacheStats.Misses);
-  metrics::add(metrics::Id::SimDecodeInvalidations,
-               CacheStats.Invalidations - PubCacheStats.Invalidations);
-  PubCacheStats = CacheStats;
-}
-
 void Machine::restore(const Snapshot &S) {
-  // Publish the pending counter deltas first: CacheStats is about to be
-  // rewound below the publication baseline, and published totals must
-  // stay monotone (no loss, no double count) across restores.
-  publishMetrics();
   std::copy(std::begin(S.Regs), std::end(S.Regs), std::begin(Regs));
   Pc = S.Pc;
   RamCow.restore(Ram, S.Ram);
   XBits = S.XBits;
-  DecodeCow.restore(DecodeCache, S.DecodeCache);
-  DecodeValid = S.DecodeValid;
-  CacheStats = S.CacheStats;
-  PubCacheStats = CacheStats; // Rebase: the restored values are already
-                              // accounted for by their original run.
   Ub = S.Ub;
   UbMessage = S.UbMessage;
   TraceChain.restore(Trace, S.Trace);

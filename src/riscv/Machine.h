@@ -24,25 +24,20 @@
 /// block) so that range queries and removals are word operations rather
 /// than per-byte scans.
 ///
-/// The machine also carries a *predecoded-instruction cache*: each 4-byte
-/// word is decoded at most once, and the decoded form is reused on later
-/// fetches from the same address. The invalidation rule is exactly the
-/// XAddrs removal rule of section 5.6 — whenever bytes leave the
-/// executable set, every cache line overlapping them is dropped. A valid
-/// cache line therefore witnesses that its four bytes are still in
-/// XAddrs, in RAM, aligned, and decode to the cached instruction, which
-/// is what lets the fast path skip the fetch checks without changing any
-/// observable behavior (including the `FetchNotExecutable` UB verdict for
-/// stale instructions). Host-level RAM mutations (writeRam/writeByte/
-/// loadImage) invalidate conservatively as well, so direct pokes from
-/// tests cannot desynchronize the cache.
+/// The machine is the reference semantics: riscv::step (riscv/Step.h)
+/// runs every fetch check — alignment, mapping, XAddrs, decodability —
+/// on every instruction. The one fast engine, the superblock trace engine
+/// of riscv/BlockEngine.h, keeps its translations outside the machine and
+/// learns of every XAddrs removal and host-level RAM poke through
+/// InvalidationListener; its Differential mode replays each run chunk on
+/// this stepper, which makes the stepper the second witness of the
+/// section-5.6 discipline for the engine's cached translations.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef B2_RISCV_MACHINE_H
 #define B2_RISCV_MACHINE_H
 
-#include "isa/Instr.h"
 #include "riscv/Mmio.h"
 #include "support/Snapshot.h"
 #include "support/Word.h"
@@ -74,18 +69,10 @@ enum class UbKind : uint8_t {
 /// Human-readable name for a UB kind.
 const char *ubKindName(UbKind K);
 
-/// Hit/miss/invalidation counters of the predecoded-instruction cache.
-struct DecodeCacheStats {
-  uint64_t Hits = 0;
-  uint64_t Misses = 0;        ///< Aligned in-RAM fetches with no valid line.
-  uint64_t Invalidations = 0; ///< Lines dropped by XAddrs removal / pokes.
-};
-
 /// Observer of the machine's derived-state invalidation events, wired up
 /// by the superblock trace engine (riscv/BlockEngine.h). The machine
-/// notifies it whenever instruction words leave the decode-valid set —
-/// i.e. on exactly the XAddrs-removal invalidation set of section 5.6,
-/// plus host-level RAM pokes — and on whole-machine restore, where every
+/// notifies it on exactly the XAddrs-removal set of section 5.6, plus
+/// host-level RAM pokes, and on whole-machine restore, where every
 /// derived structure must be considered stale. The listener is runtime
 /// wiring, not architectural state: it is not part of Snapshot and never
 /// changes observable behavior by itself.
@@ -147,7 +134,7 @@ public:
     assert(inRam(Addr, 1) && "RAM write out of range");
     Ram[Addr] = V;
     RamCow.markDirty(Addr);
-    invalidateDecode(Addr, 1);
+    notifyInvalidation(Addr, 1);
   }
 
   /// Little-endian read of \p Size in {1,2,4} bytes.
@@ -159,10 +146,9 @@ public:
   /// Copies \p Image into RAM at \p Addr. Asserts it fits.
   void loadImage(Word Addr, const std::vector<uint8_t> &Image);
 
-  /// The ISA store operation: writes \p Size bytes, removes them from
-  /// XAddrs (section 5.6), and drops overlapping decode-cache lines —
-  /// equivalent to writeRam + removeXAddrs but with a single combined
-  /// invalidation pass.
+  /// The ISA store operation: writes \p Size bytes and removes them from
+  /// XAddrs (section 5.6) — equivalent to writeRam + removeXAddrs but with
+  /// a single listener notification.
   void storeRam(Word Addr, unsigned Size, Word V);
 
   /// Aligned-word RAM read with no bounds handling: \p Addr must be
@@ -175,12 +161,12 @@ public:
   }
 
   /// The aligned-word case of storeRam, minus the listener notification:
-  /// writes the word, applies the section-5.6 XAddrs removal and the
-  /// decode-line invalidation (seeded store faults included — this IS
-  /// storeRam's aligned path, which delegates here). Returns true iff the
-  /// invalidation discipline ran to completion, i.e. iff storeRam would
-  /// have notified the invalidation listener; the caller owns delivering
-  /// that notification. \p Addr must be 4-aligned and in RAM.
+  /// writes the word and applies the section-5.6 XAddrs removal (seeded
+  /// store faults included — this IS storeRam's aligned path, which
+  /// delegates here). Returns true iff the invalidation discipline ran to
+  /// completion, i.e. iff storeRam would have notified the invalidation
+  /// listener; the caller owns delivering that notification. \p Addr
+  /// must be 4-aligned and in RAM.
   bool storeWordNoNotify(Word Addr, Word V) {
     assert((Addr & 3) == 0 && inRam(Addr, 4) && "unguarded word store");
     uint8_t *P = &Ram[Addr];
@@ -191,20 +177,12 @@ public:
     RamCow.markDirty(Addr);
     if (fi::on(fi::Fault::SimStoreKeepsXAddrs))
       return false; // Seeded bug: the section-5.6 discipline is forgotten.
-    // Aligned word: one XAddrs block, one decode-cache word. Data words
-    // lose their X bits on the first store and never regain them, so
-    // test before clearing to spare the steady-state read-modify-write.
+    // Aligned word: one XAddrs block. Data words lose their X bits on the
+    // first store and never regain them, so test before clearing to spare
+    // the steady-state read-modify-write.
     uint64_t XMask = uint64_t(0xF) << (Addr & 63);
     if (XBits[Addr >> 6] & XMask)
       XBits[Addr >> 6] &= ~XMask;
-    if (fi::on(fi::Fault::SimDecodeCacheNoInvalidate))
-      return false; // Seeded bug: removal without line invalidation.
-    size_t W = Addr >> 2;
-    uint64_t Bit = uint64_t(1) << (W & 63);
-    if (DecodeValid[W >> 6] & Bit) {
-      DecodeValid[W >> 6] &= ~Bit;
-      ++CacheStats.Invalidations;
-    }
     return true;
   }
 
@@ -219,8 +197,8 @@ public:
 
   /// Removes [Addr, Addr+Size) from the executable set; called on every
   /// RAM store. Addresses wrap modulo 2^32 exactly as a per-byte removal
-  /// would, and bytes outside RAM are ignored. Overlapping decode-cache
-  /// lines are invalidated — the invalidation set IS the removal set.
+  /// would, and bytes outside RAM are ignored. The invalidation listener
+  /// is notified of exactly the removal set.
   void removeXAddrs(Word Addr, unsigned Size);
 
   /// True iff [Addr, Addr+Size) is entirely executable; used by the
@@ -234,57 +212,7 @@ public:
     return xBitsAllSet(Addr, Size);
   }
 
-  // -- Predecoded-instruction cache ----------------------------------------
-
-  /// Enables/disables fast-path lookups (invalidation is maintained either
-  /// way, so toggling mid-run keeps the cache coherent). Enabled by
-  /// default; the uncached mode exists so both paths can be compared in
-  /// one binary (differential mode, bench/sim_throughput).
-  void setDecodeCacheEnabled(bool Enabled) { UseDecodeCache = Enabled; }
-  bool decodeCacheEnabled() const { return UseDecodeCache; }
-
-  /// Fast-path fetch: returns the cached decode of the word at \p Pc, or
-  /// null if the cache is disabled, \p Pc is misaligned or outside RAM, or
-  /// the line is invalid. A non-null result witnesses that the fetch at
-  /// \p Pc passes every slow-path check (alignment, mapping, XAddrs,
-  /// decodability) with the same outcome as an uncached fetch.
-  const isa::Instr *cachedInstr(Word Pc) {
-    if (!UseDecodeCache || (Pc & 3) != 0)
-      return nullptr;
-    Word W = Pc >> 2;
-    if (W >= DecodeCache.size())
-      return nullptr;
-    if (!((DecodeValid[W >> 6] >> (W & 63)) & 1)) {
-      ++CacheStats.Misses;
-      return nullptr;
-    }
-    ++CacheStats.Hits;
-    return &DecodeCache[W];
-  }
-
-  /// Fills the line for \p Pc. Only call after a full slow-path fetch at
-  /// \p Pc succeeded (aligned, in RAM, executable, valid decode) — the
-  /// cache-line invariant depends on it.
-  void fillDecodeCache(Word Pc, const isa::Instr &I) {
-    if (!UseDecodeCache)
-      return;
-    assert((Pc & 3) == 0 && isExecutable(Pc) && I.isValid() &&
-           "decode-cache fill without a successful slow-path fetch");
-    Word W = Pc >> 2;
-    DecodeCache[W] = I;
-    DecodeCow.markDirty(W);
-    DecodeValid[W >> 6] |= uint64_t(1) << (W & 63);
-  }
-
-  const DecodeCacheStats &decodeCacheStats() const { return CacheStats; }
-
-  /// Publishes the decode-cache counter deltas accumulated since the
-  /// last publish to the global metrics registry (support/Metrics.h).
-  /// Called at chunk/run boundaries by the engines and drivers — the
-  /// hot fetch path keeps incrementing the plain local struct. restore()
-  /// publishes pending deltas itself before rewinding CacheStats, so
-  /// published totals stay monotone across checkpoint restores.
-  void publishMetrics();
+  // -- Invalidation listener ------------------------------------------------
 
   /// Installs (or clears, with null) the invalidation listener. At most
   /// one listener is supported; the superblock trace engine owns it for
@@ -294,33 +222,26 @@ public:
 
   // -- Snapshot/restore ------------------------------------------------------
 
-  /// Whole-machine checkpoint. RAM and the predecoded-instruction cache
-  /// are captured copy-on-write (O(pages dirtied since the last
-  /// checkpoint)); the MMIO trace as an append-only delta chain; the
-  /// rest (registers, XAddrs bitset, UB status, counters) flat. The
-  /// decode cache is snapshotted *as state* — including any staleness a
-  /// seeded invalidation fault left behind — so a restored machine is
-  /// bit-identical to the original even under active fault plans.
+  /// Whole-machine checkpoint. RAM is captured copy-on-write (O(pages
+  /// dirtied since the last checkpoint)); the MMIO trace as an
+  /// append-only delta chain; the rest (registers, XAddrs bitset, UB
+  /// status, counters) flat.
   struct Snapshot {
     Word Regs[32];
     Word Pc;
     support::CowTracker<uint8_t>::Snap Ram;
     std::vector<uint64_t> XBits;
-    support::CowTracker<isa::Instr>::Snap DecodeCache;
-    std::vector<uint64_t> DecodeValid;
-    DecodeCacheStats CacheStats;
     UbKind Ub;
     std::string UbMessage;
     support::ChainTracker<MmioEvent>::Snap Trace;
     uint64_t Retired;
   };
 
-  /// Captures the complete architectural + cache state.
+  /// Captures the complete architectural state.
   Snapshot snapshot();
 
   /// Rewinds the machine to \p S (which must come from this machine's
-  /// snapshot()). Pure state copy: no fault hooks run, no statistics
-  /// change beyond being restored themselves.
+  /// snapshot()). Pure state copy: no fault hooks run.
   void restore(const Snapshot &S);
 
   // -- UB status ------------------------------------------------------------
@@ -354,22 +275,11 @@ private:
   /// bits past ramSize() are never consulted (all queries bound-check
   /// first).
   std::vector<uint64_t> XBits;
-  /// Predecoded instructions, one per aligned RAM word; validity packed
-  /// into 64-bit blocks alongside.
-  std::vector<isa::Instr> DecodeCache;
-  std::vector<uint64_t> DecodeValid;
-  bool UseDecodeCache = true;
-  DecodeCacheStats CacheStats;
-  /// Counter values as of the last publishMetrics() — the publication
-  /// baseline. Not architectural state: snapshot/restore do not touch it
-  /// beyond restore()'s publish-then-rebase discipline.
-  DecodeCacheStats PubCacheStats;
   UbKind Ub = UbKind::None;
   std::string UbMessage;
   MmioTrace Trace;
   uint64_t Retired = 0;
   support::CowTracker<uint8_t> RamCow;
-  support::CowTracker<isa::Instr> DecodeCow;
   support::ChainTracker<MmioEvent> TraceChain;
   InvalidationListener *Listener = nullptr;
 
@@ -377,9 +287,10 @@ private:
   /// the range must be in RAM.
   bool xBitsAllSet(Word Addr, Word Len) const;
 
-  /// Drops every decode-cache line overlapping [Addr, Addr+Len) (no
-  /// address wrapping; the range must be in RAM).
-  void invalidateDecode(Word Addr, Word Len);
+  /// Tells the invalidation listener, if any, that the words overlapping
+  /// [Addr, Addr+Len) changed (no address wrapping; the range must be in
+  /// RAM).
+  void notifyInvalidation(Word Addr, Word Len);
 };
 
 } // namespace riscv

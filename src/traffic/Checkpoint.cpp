@@ -60,13 +60,12 @@ std::vector<bool> b2::traffic::expectedLightSequence(
 
 SoakMachine::SoakMachine(const compiler::CompiledProgram &Prog, SoakCore Core,
                          Word RamBytes, riscv::ExecMode SimExec,
-                         const MachineConfig &Config)
-    : Core(Core), Plat(Config.Spi) {
+                         const devices::SpiConfig &Spi)
+    : Core(Core), Plat(Spi) {
   switch (Core) {
   case SoakCore::IsaSim:
     Sim = std::make_unique<riscv::Machine>(RamBytes);
     Sim->loadImage(0, Prog.image());
-    Sim->setDecodeCacheEnabled(Config.SimDecodeCache);
     if (SimExec != riscv::ExecMode::Reference)
       Engine = std::make_unique<riscv::BlockEngine>(*Sim, Plat, SimExec);
     break;
@@ -194,8 +193,6 @@ void SoakMachine::restore(const Snapshot &S) {
 void SoakMachine::publishMetrics() {
   if (Engine)
     Engine->publishMetrics();
-  else if (Sim)
-    Sim->publishMetrics();
 }
 
 //===----------------------------------------------------------------------===//
@@ -440,9 +437,9 @@ b2::traffic::warmBootMachine(const compiler::CompiledProgram &Prog,
     auto M = std::make_unique<SoakMachine>(Prog, Options.Core,
                                            Options.RamBytes, Options.SimExec);
     M->restore(E.Snap);
-    // While paused this publishes nothing but still rebases the engine
-    // and decode-cache publication baselines, so the restore-time flush
-    // never leaks into the shard's deltas.
+    // While paused this publishes nothing but still rebases the engine's
+    // publication baseline, so the restore-time flush never leaks into
+    // the shard's deltas.
     M->publishMetrics();
     return M;
   }

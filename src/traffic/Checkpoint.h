@@ -62,18 +62,6 @@ uint64_t soakTraceHash(const riscv::MmioTrace &T);
 std::vector<bool>
 expectedLightSequence(const std::vector<devices::ScheduledFrame> &Accepted);
 
-/// Substrate parameters a few callers move off the shipped system's
-/// defaults: the SPI FIFO depth (the section 7.2.1 pipelined-driver
-/// configuration) and the ISA simulator's predecode cache (the uncached
-/// throughput row). Soak shards always run the defaults, which is why the
-/// warm-boot cache does not key on it.
-struct MachineConfig {
-  devices::SpiConfig Spi; ///< Default: verified (no pipelining).
-  /// Predecoded-instruction fast path (SoakCore::IsaSim only). On by
-  /// default; off runs the uncached stepper for differential comparison.
-  bool SimDecodeCache = true;
-};
-
 /// The whole-system runner: the selected core running a compiled image
 /// against its private platform, the incrementally converted MMIO trace,
 /// the streaming goodHlTrace monitor, and the delivery-loop cursor state.
@@ -83,10 +71,13 @@ struct MachineConfig {
 /// run reads or writes.
 class SoakMachine {
 public:
+  /// \p Spi moves the SPI controller off the shipped system's default
+  /// (the section 7.2.1 pipelined-driver configuration). Soak shards
+  /// always run the default, which is why the warm-boot cache does not
+  /// key on it.
   SoakMachine(const compiler::CompiledProgram &Prog, SoakCore Core,
-              Word RamBytes,
-              riscv::ExecMode SimExec = riscv::ExecMode::Reference,
-              const MachineConfig &Config = MachineConfig());
+              Word RamBytes, riscv::ExecMode SimExec = riscv::ExecMode::Block,
+              const devices::SpiConfig &Spi = devices::SpiConfig());
 
   /// Runs up to \p Cycles. Returns the number actually executed (the ISA
   /// simulator stops early on UB; the Kami cores always run the full
@@ -127,12 +118,12 @@ public:
 
   // -- Snapshot/restore ------------------------------------------------------
 
-  /// Whole-system checkpoint. Memory-bearing components (RAM, BRAM,
-  /// decode cache) snapshot copy-on-write pages; append-only logs
-  /// (traces, labels, delivered/accepted frames) snapshot O(delta)
-  /// chains; latches and counters copy flat. Taking and restoring a
-  /// snapshot is O(dirty pages + new log entries), which is what makes
-  /// per-injection checkpointing affordable.
+  /// Whole-system checkpoint. Memory-bearing components (RAM, BRAM)
+  /// snapshot copy-on-write pages; append-only logs (traces, labels,
+  /// delivered/accepted frames) snapshot O(delta) chains; latches and
+  /// counters copy flat. Taking and restoring a snapshot is O(dirty
+  /// pages + new log entries), which is what makes per-injection
+  /// checkpointing affordable.
   struct Snapshot {
     std::optional<riscv::Machine::Snapshot> Sim;
     std::optional<kami::Bram::Snapshot> Mem;
@@ -156,11 +147,11 @@ public:
   /// cross-machine restore is merely slower, never wrong.
   void restore(const Snapshot &S);
 
-  /// Publishes the simulator-side metric deltas (engine + decode cache)
-  /// accumulated since the last publication. Called at shard-stat
-  /// collection, and — under metrics::PauseScope — by the warm-boot path
-  /// to rebase the publication baselines so warm and cold shards publish
-  /// identical shard-only deltas. No-op for the Kami cores.
+  /// Publishes the trace engine's metric deltas accumulated since the
+  /// last publication. Called at shard-stat collection, and — under
+  /// metrics::PauseScope — by the warm-boot path to rebase the publication
+  /// baselines so warm and cold shards publish identical shard-only
+  /// deltas. No-op without a trace engine.
   void publishMetrics();
 
 private:

@@ -44,12 +44,9 @@ namespace b2 {
 namespace verify {
 
 /// The checker columns of the kill matrix. Six are the fleet's standing
-/// checkers; SimCacheDiff is the adequacy campaign's own column, comparing
-/// the ISA simulator with its predecoded fast path enabled vs. disabled
-/// (the only checker that can own the decode-cache discipline faults);
-/// SoakMonitor covers the traffic layer — scenario determinism, pcap
-/// round-trips, and the streaming goodHlTrace monitor's agreement with
-/// the offline matcher; SnapDiff is the checkpoint layer's bit-identity
+/// checkers; SoakMonitor covers the traffic layer — scenario determinism,
+/// pcap round-trips, and the streaming goodHlTrace monitor's agreement
+/// with the offline matcher; SnapDiff is the checkpoint layer's bit-identity
 /// differential — a snapshot-resumed soak run must match the
 /// straight-through run exactly, so it is the column that owns
 /// checkpoint/restore faults; BlockDiff is the superblock trace engine's
@@ -63,7 +60,6 @@ enum class Checker : uint8_t {
   Refinement,       ///< Pipelined core vs. single-cycle spec core.
   EndToEnd,         ///< The end2end_lightbulb theorem, executably.
   DecodeConsistency,///< Kami decoder vs. riscv-coq-style decoder.
-  SimCacheDiff,     ///< ISA simulator: decode cache on vs. off.
   SoakMonitor,      ///< Traffic soak harness and streaming monitor.
   SnapDiff,         ///< Snapshot-resume vs. straight-through identity.
   BlockDiff,        ///< Superblock trace engine vs. reference stepper.

@@ -26,7 +26,7 @@ E2EResult b2::verify::runCompiledEndToEnd(const compiler::CompiledProgram &Prog,
                                           const E2EOptions &Options) {
   E2EResult R;
   traffic::SoakMachine M(Prog, Options.Core, Options.RamBytes, Options.SimExec,
-                         Options.Machine);
+                         Options.Spi);
   for (const ScheduledFrame &F : Scenario.Frames)
     M.platform().scheduleFrame(F.AtOp, F.Frame, F.Errored);
 

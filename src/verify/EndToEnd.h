@@ -54,17 +54,15 @@ namespace verify {
 struct E2EOptions {
   Word RamBytes = 64 * 1024;
   traffic::SoakCore Core = traffic::SoakCore::Pipelined;
-  /// SPI FIFO depth and ISA decode cache; defaults are the verified
-  /// system.
-  traffic::MachineConfig Machine;
+  devices::SpiConfig Spi; ///< Default: the verified system.
   app::FirmwareOptions Firmware;   ///< Default: verified firmware.
   compiler::CompilerOptions Compiler = compiler::CompilerOptions::o0();
   uint64_t MaxCycles = 400'000'000;
   /// Execution engine of the ISA simulator (SoakCore::IsaSim only).
-  /// Block runs the superblock trace engine; Differential additionally
-  /// checks it in lockstep against the reference stepper and fails the
-  /// run on the first divergence.
-  riscv::ExecMode SimExec = riscv::ExecMode::Reference;
+  /// Block runs the superblock trace engine; Reference runs the spec
+  /// stepper alone; Differential checks Block in lockstep against the
+  /// spec and fails the run on the first divergence.
+  riscv::ExecMode SimExec = riscv::ExecMode::Block;
 };
 
 /// A packet arrival script (op-count scheduled; see devices/Platform.h).

@@ -53,15 +53,13 @@ enum class Fault : uint8_t {
   CompilerStackallocNoZero,   ///< stackalloc skips the zero-fill loop.
   CompilerCalleeSavedSkip,    ///< First used s-register not saved/restored.
   CompilerImmTruncate,        ///< Constants materialize truncated to 12 bits.
-  // -- ISA-simulator semantic bugs (owned by Lockstep / SimCacheDiff) ------
+  // -- ISA-simulator semantic bugs (owned by Lockstep / BlockDiff) ---------
   SimSraLogicalShift,         ///< sra/srai shift in zeros, not sign bits.
   SimBranchLtAsGe,            ///< blt takes the bge condition.
   SimLhWrongWidth,            ///< lh sign-extends from 8 bits, not 16.
   SimStoreKeepsXAddrs,        ///< Stores forget the stale-instruction
-                              ///< discipline: XAddrs and decode lines
-                              ///< survive the overwrite (section 5.6).
-  SimDecodeCacheNoInvalidate, ///< XAddrs removal keeps decode-cache lines
-                              ///< (invalidation set != removal set).
+                              ///< discipline: XAddrs survives the
+                              ///< overwrite (section 5.6).
   SimBlockStaleSuperblock,    ///< Decode invalidation no longer kills the
                               ///< owning superblocks, so the trace engine
                               ///< keeps executing stale micro-op traces

@@ -219,14 +219,14 @@ TEST(Checkpoint, ConvertedTraceGrowsGeometricallyAcrossPolls) {
 
 TEST(Checkpoint, DifferentialFuzzOnIsaSim) {
   // Random depths, random frame counts, a rotating set of seeded fault
-  // plans (device, traffic, and sim-cache bugs — all deterministic, so
-  // they apply to both runs equally and must never break identity).
+  // plans (device and traffic bugs — all deterministic, so they apply to
+  // both runs equally and must never break identity). Runs the reference
+  // stepper; the next test covers the Block engine.
   const fi::Fault Plans[] = {
       fi::Fault::NumFaults, // No fault armed.
       fi::Fault::DevLanRxByteOrder,
       fi::Fault::TrafficMonitorDropEvent,
       fi::Fault::DevSpiStaleRead,
-      fi::Fault::SimDecodeCacheNoInvalidate,
   };
   support::Rng R(0xC0FFEE);
   for (unsigned Trial = 0; Trial != 10; ++Trial) {
@@ -238,6 +238,7 @@ TEST(Checkpoint, DifferentialFuzzOnIsaSim) {
 
     SoakOptions O;
     O.Core = SoakCore::IsaSim;
+    O.SimExec = riscv::ExecMode::Reference;
     fi::FaultPlan Plan;
     if (F != fi::Fault::NumFaults) {
       Plan = fi::FaultPlan::single(F);
@@ -263,7 +264,6 @@ TEST(Checkpoint, DifferentialFuzzWithBlockEngine) {
   const fi::Fault Plans[] = {
       fi::Fault::NumFaults, // No fault armed.
       fi::Fault::DevLanRxByteOrder,
-      fi::Fault::SimDecodeCacheNoInvalidate,
   };
   support::Rng R(0xB10C);
   unsigned Trial = 0;

@@ -179,37 +179,33 @@ TEST(EndToEnd, FuzzedVerdictsArePinnedOnEveryCore) {
     uint64_t Seed;
     traffic::SoakCore Core;
     riscv::ExecMode Exec;
-    bool DecodeCache;
     uint64_t MaxCycles;
   };
   const Case Cases[] = {
       {{"pipelined_seed1", true, 3800000, 72448, 0x372f2be899fbd009ull}, 1, traffic::SoakCore::Pipelined,
-       riscv::ExecMode::Reference, true, 400'000'000},
+       riscv::ExecMode::Reference, 400'000'000},
       {{"pipelined_seed2", true, 1400000, 18966, 0x7aecbce8739556dbull}, 2, traffic::SoakCore::Pipelined,
-       riscv::ExecMode::Reference, true, 400'000'000},
+       riscv::ExecMode::Reference, 400'000'000},
       // A budget far below the drain point: the run stops on the budget.
       {{"pipelined_seed3_budget", true, 1000000, 13576, 0xe1b1374f5b7eda54ull}, 3, traffic::SoakCore::Pipelined,
-       riscv::ExecMode::Reference, true, 1'000'000},
+       riscv::ExecMode::Reference, 1'000'000},
       {{"spec_seed4", true, 1000000, 20144, 0x3c926a974d50f819ull}, 4, traffic::SoakCore::SpecCore,
-       riscv::ExecMode::Reference, true, 400'000'000},
+       riscv::ExecMode::Reference, 400'000'000},
       {{"spec_seed5", true, 1000000, 20548, 0x8abbf3eb37f39345ull}, 5, traffic::SoakCore::SpecCore,
-       riscv::ExecMode::Reference, true, 400'000'000},
+       riscv::ExecMode::Reference, 400'000'000},
       {{"isa_seed6", true, 1000000, 20954, 0x8117cdb4e494d94cull}, 6, traffic::SoakCore::IsaSim,
-       riscv::ExecMode::Reference, true, 400'000'000},
+       riscv::ExecMode::Reference, 400'000'000},
       {{"isa_seed7", true, 1000000, 20192, 0x97586c3ba6697fdfull}, 7, traffic::SoakCore::IsaSim,
-       riscv::ExecMode::Reference, true, 400'000'000},
-      {{"isa_uncached_seed7", true, 1000000, 20192, 0x97586c3ba6697fdfull}, 7, traffic::SoakCore::IsaSim,
-       riscv::ExecMode::Reference, false, 400'000'000},
+       riscv::ExecMode::Reference, 400'000'000},
       {{"isa_block_seed6", true, 1000000, 20954, 0x8117cdb4e494d94cull}, 6, traffic::SoakCore::IsaSim,
-       riscv::ExecMode::Block, true, 400'000'000},
+       riscv::ExecMode::Block, 400'000'000},
       {{"isa_diff_seed7", true, 1000000, 20192, 0x97586c3ba6697fdfull}, 7, traffic::SoakCore::IsaSim,
-       riscv::ExecMode::Differential, true, 400'000'000},
+       riscv::ExecMode::Differential, 400'000'000},
   };
   for (const Case &K : Cases) {
     E2EOptions O;
     O.Core = K.Core;
     O.SimExec = K.Exec;
-    O.Machine.SimDecodeCache = K.DecodeCache;
     O.MaxCycles = K.MaxCycles;
     expectPinned(K.Pin,
                  runCompiledEndToEnd(*C.Prog, fuzzScenario(K.Seed, 5), O));
@@ -222,7 +218,7 @@ TEST(EndToEnd, RejectedPrefixVerdictIsPinned) {
   E2EOptions O;
   O.Core = traffic::SoakCore::IsaSim;
   O.Firmware.SpiPipelining = true;
-  O.Machine.Spi.FifoDepth = 8;
+  O.Spi.FifoDepth = 8;
   O.MaxCycles = 60'000'000;
   E2EResult R = runLightbulbEndToEnd(commandScenario({true, false}), O);
   EXPECT_FALSE(R.PrefixAccepted);

@@ -7,11 +7,8 @@
 #include "riscv/Machine.h"
 #include "riscv/Step.h"
 
-#include "compiler/Compile.h"
 #include "isa/Build.h"
 #include "isa/Encoding.h"
-
-#include "RandomProgram.h"
 
 #include <gtest/gtest.h>
 
@@ -366,14 +363,11 @@ TEST(Machine, RemoveXAddrsWrapsModulo32Bits) {
   EXPECT_FALSE(M.rangeExecutable(0, 4));
 }
 
-// -- Predecoded-instruction cache ---------------------------------------------
-
-namespace {
-
-/// The self-modifying program of examples/stale_instructions.cpp in
-/// miniature: executes the victim at pc 12 once (so the decode cache
-/// holds it), loops, overwrites it, and jumps back into it.
-std::vector<Instr> selfModifyingProgram() {
+TEST(Step, StoreOverExecutedInstructionIsUbOnRefetch) {
+  // The self-modifying program of examples/stale_instructions.cpp in
+  // miniature: the victim at pc 12 runs once, a store overwrites it, and
+  // the jump back into it must report FetchNotExecutable — neither the
+  // old nor the new instruction executes (section 5.6).
   Word NewInstr = encode(addi(A1, Zero, 99));
   std::vector<Instr> P;
   materialize(NewInstr, A0, P);
@@ -385,132 +379,10 @@ std::vector<Instr> selfModifyingProgram() {
   P.push_back(jal(Zero, -12));                 // pc 20: back to pc 8.
   P.push_back(sw(Zero, A0, 12));               // pc 24: overwrite pc 12.
   P.push_back(jal(Zero, -16));                 // pc 28: back into pc 12.
-  return P;
-}
-
-/// Steps \p M until UB or \p MaxSteps; returns steps taken.
-uint64_t runSteps(Machine &M, uint64_t MaxSteps) {
-  NoDevice D;
-  return run(M, D, MaxSteps);
-}
-
-void expectSameArchState(const Machine &A, const Machine &B) {
-  EXPECT_EQ(A.getPc(), B.getPc());
-  EXPECT_EQ(A.ubKind(), B.ubKind());
-  EXPECT_EQ(A.retiredInstructions(), B.retiredInstructions());
-  for (unsigned R = 0; R != 32; ++R)
-    EXPECT_EQ(A.getReg(R), B.getReg(R)) << "register x" << R;
-  EXPECT_TRUE(A.trace() == B.trace());
-}
-
-} // namespace
-
-TEST(DecodeCache, RefetchHitsAndMatchesUncached) {
-  std::vector<Instr> Loop = {
-      addi(A0, Zero, 0),
-      addi(A0, A0, 1), // pc 4: loop body.
-      jal(Zero, -4),   // pc 8: back to pc 4.
-  };
-  Machine MC = machineWith(Loop);
-  Machine MU = machineWith(Loop);
-  MU.setDecodeCacheEnabled(false);
-  runSteps(MC, 1001);
-  runSteps(MU, 1001);
-  expectSameArchState(MC, MU);
-  // 3 distinct words; everything after the first three fetches hits.
-  EXPECT_EQ(MC.decodeCacheStats().Misses, 3u);
-  EXPECT_EQ(MC.decodeCacheStats().Hits, 1001u - 3u);
-  EXPECT_EQ(MU.decodeCacheStats().Hits, 0u);
-  EXPECT_EQ(MU.decodeCacheStats().Misses, 0u);
-}
-
-TEST(DecodeCache, SelfModifyingStoreInvalidatesAndStillTripsUb) {
-  // The regression the cache-invalidation rule exists for: a store over a
-  // *cached* instruction must drop the line AND the refetch must still
-  // report FetchNotExecutable (the XAddrs verdict), not silently execute
-  // either the stale or the new instruction.
-  std::vector<Instr> P = selfModifyingProgram();
-  Machine MC = machineWith(P);
-  Machine MU = machineWith(P);
-  MU.setDecodeCacheEnabled(false);
-  runSteps(MC, 1000);
-  runSteps(MU, 1000);
-
-  EXPECT_EQ(MC.ubKind(), UbKind::FetchNotExecutable);
-  EXPECT_EQ(MC.getPc(), 12u);   // Frozen at the stale fetch.
-  EXPECT_EQ(MC.getReg(A1), 7u); // First-pass execution, never the new 99.
-  expectSameArchState(MC, MU);
-
-  // The victim's line was filled on the first pass and dropped by the
-  // store; the loop head at pc 8 was refetched from the cache.
-  EXPECT_GE(MC.decodeCacheStats().Invalidations, 1u);
-  EXPECT_GE(MC.decodeCacheStats().Hits, 1u);
-}
-
-TEST(DecodeCache, HostPokeInvalidatesWithoutXAddrsRemoval) {
-  // Host-level RAM mutation (loadImage/writeByte) is not an ISA store: it
-  // keeps XAddrs intact but must still drop cached decodes, so the next
-  // fetch sees the new bytes instead of a stale line.
-  std::vector<Instr> P = {addi(A1, Zero, 7), jal(Zero, 0)};
   Machine M = machineWith(P);
   NoDevice D;
-  ASSERT_TRUE(step(M, D)); // Fills the line at pc 0.
-  EXPECT_EQ(M.getReg(A1), 7u);
-  M.loadImage(0, instrencode({addi(A1, Zero, 42)}));
-  M.setPc(0);
-  ASSERT_TRUE(step(M, D));
-  EXPECT_EQ(M.getReg(A1), 42u); // New bytes, not the stale decode.
-  EXPECT_FALSE(M.hasUb());      // XAddrs untouched by host pokes.
-}
-
-TEST(DecodeCache, ToggleMidRunStaysCoherent) {
-  // Invalidation is maintained while lookups are disabled, so flipping
-  // the switch mid-run never resurrects a stale line.
-  std::vector<Instr> P = selfModifyingProgram();
-  Machine MC = machineWith(P);
-  Machine MU = machineWith(P);
-  MU.setDecodeCacheEnabled(false);
-  // Warm the cache (5 steps: one full pass incl. the victim), disable,
-  // run the store pass uncached, re-enable for the fatal refetch.
-  runSteps(MC, 5);
-  MC.setDecodeCacheEnabled(false);
-  runSteps(MC, 3);
-  MC.setDecodeCacheEnabled(true);
-  runSteps(MC, 1000);
-  runSteps(MU, 1000);
-  EXPECT_EQ(MC.ubKind(), UbKind::FetchNotExecutable);
-  expectSameArchState(MC, MU);
-}
-
-TEST(DecodeCache, DifferentialOnRandomCompiledPrograms) {
-  // Property: for compiler-generated code, the cached and uncached ISA
-  // simulators are indistinguishable — same halt, registers, trace, and
-  // verdict. (The fuzzed corpus is UB-free by construction, so this also
-  // re-checks that caching never *introduces* a spurious UB.)
-  for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
-    b2::testing::RandomProgramGen Gen(Seed);
-    bedrock2::Program P = Gen.generate();
-    compiler::CompileResult C = compiler::compileProgram(
-        P, compiler::CompilerOptions::o0(),
-        compiler::Entry::singleCall("main", {Word(Seed * 17), Word(Seed)}),
-        64 * 1024);
-    ASSERT_TRUE(C.ok()) << "seed " << Seed << ": " << C.Error;
-
-    auto RunMode = [&](bool Cache) {
-      Machine M(64 * 1024);
-      M.loadImage(0, C.Prog->image());
-      M.setDecodeCacheEnabled(Cache);
-      NoDevice D;
-      uint64_t Steps = 0;
-      while (Steps < 2'000'000 && M.getPc() != C.Prog->HaltPc &&
-             step(M, D))
-        ++Steps;
-      return M;
-    };
-    Machine MC = RunMode(true);
-    Machine MU = RunMode(false);
-    EXPECT_EQ(MC.getPc(), C.Prog->HaltPc) << "seed " << Seed;
-    expectSameArchState(MC, MU);
-    EXPECT_GT(MC.decodeCacheStats().Hits, 0u) << "seed " << Seed;
-  }
+  run(M, D, 1000);
+  EXPECT_EQ(M.ubKind(), UbKind::FetchNotExecutable);
+  EXPECT_EQ(M.getPc(), 12u);   // Frozen at the stale fetch.
+  EXPECT_EQ(M.getReg(A1), 7u); // First-pass execution, never the new 99.
 }

@@ -188,7 +188,7 @@ TEST(SpecNegative, PipelinedSpiDriverViolatesGoodHlTrace) {
   // vacuously lax — while the physical lightbulb behavior stays correct.
   E2EOptions O;
   O.Firmware.SpiPipelining = true;
-  O.Machine.Spi.FifoDepth = 8;
+  O.Spi.FifoDepth = 8;
   E2EScenario S;
   S.Frames.push_back({2000, devices::buildCommandFrame(true), false});
   E2EResult R = runLightbulbEndToEnd(S, O);
@@ -443,7 +443,6 @@ TEST(BlockEngineFuzz, LockstepHoldsUnderSimulatorFaultPlans) {
       fi::Fault::SimSraLogicalShift,
       fi::Fault::SimBranchLtAsGe,
       fi::Fault::SimStoreKeepsXAddrs,
-      fi::Fault::SimDecodeCacheNoInvalidate,
   };
   support::Rng R(0xFA0175);
   for (unsigned Trial = 0; Trial != 8; ++Trial) {

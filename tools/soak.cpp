@@ -56,11 +56,11 @@ int usage(const char *Argv0) {
       "                    see --list-scenarios)\n"
       "  --core KIND       execution substrate (default pipelined)\n"
       "  --engine MODE     ISA-simulator engine (--core isa only):\n"
-      "                    reference steps with the predecoded fast path,\n"
+      "                    reference runs the uncached spec stepper,\n"
       "                    block runs the superblock trace engine, diff\n"
       "                    runs both in lockstep and fails on the first\n"
       "                    divergence; SOAK.json is bit-identical across\n"
-      "                    all three (default reference)\n"
+      "                    all three (default block)\n"
       "  --shards N        override the derived shard count\n"
       "  --cross-check     rerun every shard on a second substrate\n"
       "  --honor-schedule  deliver at recorded AtOp instead of\n"
