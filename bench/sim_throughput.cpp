@@ -5,10 +5,13 @@
 // Raw simulation throughput of each execution substrate (the ROADMAP's
 // "fast as the hardware allows" axis). The ISA simulator is measured
 // two ways — the reference stepper and the superblock trace engine
-// (riscv/BlockEngine.h) — and the engine is checked against the stepper
-// through its own lockstep Differential mode (same registers, PC, RAM,
-// trace, and UB verdict) before any number is reported. Full mode gates
-// the engine at >= 4.0x the stepper on the firmware end-to-end row.
+// (riscv/BlockEngine.h) — and so is the pipelined Kami core — the
+// per-cycle reference tick() (the pipelined_core rows) and the
+// instruction-stepped engine (kami/PipeEngine.h, the pipelined_fast
+// rows). Each fast engine is checked against its reference through its
+// own lockstep Differential mode before any number is reported. Full
+// mode gates the block engine at >= 4.0x the stepper and the pipelined
+// fast engine at >= 1.5x tick() on the firmware end-to-end rows.
 // Measurements use best-of-N windows, like interp_throughput: each
 // window is a fresh measurement and the highest throughput is kept,
 // rejecting one-sided OS noise identically for every engine. Emits
@@ -26,6 +29,7 @@
 #include "devices/Net.h"
 #include "isa/Build.h"
 #include "isa/Encoding.h"
+#include "kami/PipeEngine.h"
 #include "kami/PipelinedCore.h"
 #include "kami/SpecCore.h"
 #include "riscv/BlockEngine.h"
@@ -165,7 +169,25 @@ bool diffBlockReference(const std::vector<uint8_t> &Image, uint64_t Steps,
   return true;
 }
 
-/// Same measurement for the Kami-level cores (retired instructions/sec).
+/// Same measurement for the Kami-level cores (retired instructions/sec):
+/// \p Run advances core \p C by a batch of cycles.
+template <typename Core, typename RunFn>
+Throughput measureRetired(Core &C, double MinSeconds, RunFn Run) {
+  const uint64_t Batch = 1'000'000;
+  Throughput T;
+  double Start = now();
+  do {
+    uint64_t Before = C.retired();
+    Run(Batch);
+    T.Instructions += C.retired() - Before;
+    T.Seconds = now() - Start;
+  } while (T.Seconds < MinSeconds);
+  T.Ips = T.Instructions / (T.Seconds > 0 ? T.Seconds : 1e-9);
+  return T;
+}
+
+/// A Kami-level core stepped by its own run(): tick() for the pipelined
+/// core.
 template <typename Core>
 Throughput measureKamiCore(const std::vector<uint8_t> &Image,
                            double MinSeconds) {
@@ -173,17 +195,38 @@ Throughput measureKamiCore(const std::vector<uint8_t> &Image,
   Mem.loadImage(Image);
   riscv::NoDevice D;
   Core C(Mem, D);
-  const uint64_t Batch = 1'000'000;
-  Throughput T;
-  double Start = now();
-  do {
-    uint64_t Before = C.retired();
-    C.run(Batch);
-    T.Instructions += C.retired() - Before;
-    T.Seconds = now() - Start;
-  } while (T.Seconds < MinSeconds);
-  T.Ips = T.Instructions / (T.Seconds > 0 ? T.Seconds : 1e-9);
-  return T;
+  return measureRetired(C, MinSeconds, [&C](uint64_t N) { C.run(N); });
+}
+
+/// The pipelined core driven by its instruction-stepped engine.
+Throughput measurePipeFast(const std::vector<uint8_t> &Image,
+                           double MinSeconds) {
+  kami::Bram Mem(64 * 1024);
+  Mem.loadImage(Image);
+  riscv::NoDevice D;
+  kami::PipelinedCore C(Mem, D);
+  kami::PipeEngine E(C, riscv::ExecMode::Block);
+  return measureRetired(C, MinSeconds, [&E](uint64_t N) { E.run(N); });
+}
+
+/// Fast-vs-tick lockstep on a kernel: the engine's Differential mode
+/// replays every chunk through tick() on a shadow core and compares the
+/// whole core state and BRAM.
+bool diffPipeReference(const std::vector<uint8_t> &Image, uint64_t Cycles,
+                       std::string &Error) {
+  kami::Bram Mem(64 * 1024);
+  Mem.loadImage(Image);
+  riscv::NoDevice D;
+  kami::PipelinedCore C(Mem, D);
+  kami::PipeEngine E(C, riscv::ExecMode::Differential);
+  for (uint64_t Chunk = 1; C.cycles() < Cycles && E.divergences() == 0;
+       Chunk = Chunk * 31 % 4099)
+    E.run(Chunk);
+  if (E.divergences() != 0) {
+    Error = E.divergenceDetail();
+    return false;
+  }
+  return true;
 }
 
 } // namespace
@@ -227,6 +270,11 @@ int main(int argc, char **argv) {
                    DiffError.c_str());
       DiffOk = false;
     }
+    if (!diffPipeReference(Image, Quick ? 200'000 : 2'000'000, DiffError)) {
+      std::fprintf(stderr, "pipelined fast-engine lockstep FAILED on %s: %s\n",
+                   Name.c_str(), DiffError.c_str());
+      DiffOk = false;
+    }
     Rows.push_back({Name, "isa_sim_uncached", bestOf([&] {
                       return measureIsaSim(Image, MinSeconds);
                     })});
@@ -241,27 +289,26 @@ int main(int argc, char **argv) {
                       return measureKamiCore<kami::PipelinedCore>(
                           Image, MinSeconds);
                     })});
+    Rows.push_back({Name, "pipelined_fast", bestOf([&] {
+                      return measurePipeFast(Image, MinSeconds);
+                    })});
   }
 
-  // Firmware end-to-end on the ISA simulator — the corpus the fleets
-  // actually spend their cycles on — on the reference stepper and the
-  // Block engine. Verdict, trace, retirement count, and lightbulb history
-  // must be identical across both engines and every repetition; the Block
-  // engine is additionally run in its lockstep Differential mode, which
-  // must report zero divergences.
+  // Firmware end-to-end — the corpus the fleets actually spend their
+  // cycles on — on the ISA simulator (reference stepper vs Block engine)
+  // and on the pipelined core (tick() vs its instruction-stepped engine).
+  // Per core, verdict, trace, retirement count, cycles, and lightbulb
+  // history must be identical across both engines and every repetition;
+  // each fast engine is additionally run once in its lockstep
+  // Differential mode, which must report zero divergences.
   compiler::CompileResult C = compiler::compileProgram(
       app::buildFirmware(), compiler::CompilerOptions::o0(),
       compiler::Entry::eventLoop("lightbulb_init", "lightbulb_loop"),
       64 * 1024);
-  bool FirmwareDiffOk = false;
-  double FirmwareUncachedIps = 0, FirmwareBlockIps = 0;
-  uint64_t FirmwareRetired = 0;
+  bool FirmwareDiffOk = C.ok();
   if (C.ok()) {
     verify::E2EScenario S;
     S.Frames.push_back({2000, devices::buildCommandFrame(true), false});
-    verify::E2EOptions O;
-    O.Core = traffic::SoakCore::IsaSim;
-    O.MaxCycles = Quick ? 4'000'000 : 20'000'000;
     // One checked end-to-end run per mode (also the allocator, page, and
     // matcher warmup), then the best of several repetitions of the core
     // alone: a fresh machine runs the checked run's cycle count in one
@@ -271,7 +318,8 @@ int main(int argc, char **argv) {
     // and light history must equal the checked run's — the differential
     // claim covers all of them, not just one pair.
     const int FwReps = Quick ? 3 : 8;
-    auto RunMode = [&](riscv::ExecMode Exec, verify::E2EResult &Out) {
+    auto RunMode = [&](verify::E2EOptions O, riscv::ExecMode Exec,
+                       verify::E2EResult &Out) {
       O.SimExec = Exec;
       Out = verify::runCompiledEndToEnd(*C.Prog, S, O);
       double Best = 1e99;
@@ -289,32 +337,45 @@ int main(int argc, char **argv) {
       }
       return Best;
     };
-    verify::E2EResult RU, RB, RD;
-    double UncachedSec = RunMode(riscv::ExecMode::Reference, RU);
-    double BlockSec = RunMode(riscv::ExecMode::Block, RB);
-    O.SimExec = riscv::ExecMode::Differential; // One untimed lockstep pass.
-    RD = verify::runCompiledEndToEnd(*C.Prog, S, O);
-    FirmwareDiffOk = UncachedSec > 0 && BlockSec > 0 && RB.Ok == RU.Ok &&
-                     RB.Trace == RU.Trace &&
-                     RB.LightHistory == RU.LightHistory &&
-                     RB.Retired == RU.Retired && RD.Ok == RU.Ok &&
-                     RD.Retired == RU.Retired;
-    FirmwareUncachedIps = UncachedSec > 0 ? RU.Retired / UncachedSec : 0;
-    FirmwareBlockIps = BlockSec > 0 ? RB.Retired / BlockSec : 0;
-    FirmwareRetired = RU.Retired;
-    if (!FirmwareDiffOk) {
-      std::fprintf(stderr, "differential FAILED on firmware e2e%s\n",
-                   !RD.Ok ? (": " + RD.Error).c_str() : "");
-      DiffOk = false;
+    struct FirmwareCore {
+      traffic::SoakCore Core;
+      const char *RefSubstrate, *FastSubstrate;
+    };
+    for (const FirmwareCore &FC :
+         {FirmwareCore{traffic::SoakCore::IsaSim, "isa_sim_uncached",
+                       "isa_sim_block"},
+          FirmwareCore{traffic::SoakCore::Pipelined, "pipelined_core",
+                       "pipelined_fast"}}) {
+      verify::E2EOptions O;
+      O.Core = FC.Core;
+      O.MaxCycles = Quick ? 4'000'000 : 20'000'000;
+      verify::E2EResult RR, RF, RD;
+      double RefSec = RunMode(O, riscv::ExecMode::Reference, RR);
+      double FastSec = RunMode(O, riscv::ExecMode::Block, RF);
+      O.SimExec = riscv::ExecMode::Differential; // One untimed lockstep pass.
+      RD = verify::runCompiledEndToEnd(*C.Prog, S, O);
+      bool Ok = RefSec > 0 && FastSec > 0 && RR.Ok && RF.Ok == RR.Ok &&
+                RF.Trace == RR.Trace && RF.LightHistory == RR.LightHistory &&
+                RF.Retired == RR.Retired && RF.Cycles == RR.Cycles &&
+                RD.Ok == RR.Ok && RD.Retired == RR.Retired &&
+                RD.Cycles == RR.Cycles;
+      if (!Ok) {
+        std::fprintf(stderr, "differential FAILED on firmware e2e (%s)%s\n",
+                     FC.FastSubstrate,
+                     !RD.Ok ? (": " + RD.Error).c_str() : "");
+        FirmwareDiffOk = DiffOk = false;
+      }
+      Rows.push_back({"firmware_e2e", FC.RefSubstrate,
+                      {RR.Retired, RefSec > 0 ? RefSec : 0,
+                       RefSec > 0 ? RR.Retired / RefSec : 0}});
+      Rows.push_back({"firmware_e2e", FC.FastSubstrate,
+                      {RF.Retired, FastSec > 0 ? FastSec : 0,
+                       FastSec > 0 ? RF.Retired / FastSec : 0}});
     }
   } else {
     std::fprintf(stderr, "firmware compile failed: %s\n", C.Error.c_str());
     DiffOk = false;
   }
-  Rows.push_back({"firmware_e2e", "isa_sim_uncached",
-                  {FirmwareRetired, 0, FirmwareUncachedIps}});
-  Rows.push_back({"firmware_e2e", "isa_sim_block",
-                  {FirmwareRetired, 0, FirmwareBlockIps}});
 
   bench::Table Tab({"kernel", "substrate", "instr/sec", "instructions"});
   for (const Row &R : Rows)
@@ -362,12 +423,22 @@ int main(int argc, char **argv) {
                                  ipsOf("alu_loop", "isa_sim_uncached"));
   double MemBlockSpeedup = ratio(ipsOf("mem_loop", "isa_sim_block"),
                                  ipsOf("mem_loop", "isa_sim_uncached"));
-  double FwBlockSpeedup = ratio(FirmwareBlockIps, FirmwareUncachedIps);
-  // Speedup gate: the Block engine must run firmware at >= 4.0x the
-  // reference stepper. Quick mode records but does not enforce, like the
-  // overhead gate below.
+  double FwBlockSpeedup = ratio(ipsOf("firmware_e2e", "isa_sim_block"),
+                                ipsOf("firmware_e2e", "isa_sim_uncached"));
+  double AluPipeSpeedup = ratio(ipsOf("alu_loop", "pipelined_fast"),
+                                ipsOf("alu_loop", "pipelined_core"));
+  double MemPipeSpeedup = ratio(ipsOf("mem_loop", "pipelined_fast"),
+                                ipsOf("mem_loop", "pipelined_core"));
+  double FwPipeSpeedup = ratio(ipsOf("firmware_e2e", "pipelined_fast"),
+                               ipsOf("firmware_e2e", "pipelined_core"));
+  // Speedup gates: the Block engine must run firmware at >= 4.0x the
+  // reference stepper, and the pipelined core's fast engine at >= 1.5x
+  // tick(). Quick mode records but does not enforce, like the overhead
+  // gate below.
   const double SpeedupGate = 4.0;
   const bool SpeedupOk = FwBlockSpeedup >= SpeedupGate;
+  const double PipeSpeedupGate = 1.5;
+  const bool PipeSpeedupOk = FwPipeSpeedup >= PipeSpeedupGate;
   std::printf("\nblock-engine speedup over the reference stepper: alu_loop "
               "%s, mem_loop %s, firmware e2e %s — %s\n",
               bench::withTimes(AluBlockSpeedup, 2).c_str(),
@@ -376,7 +447,15 @@ int main(int argc, char **argv) {
               SpeedupOk ? "within the 4.0x gate"
               : Quick   ? "under the gate (not enforced in --quick)"
                         : "UNDER THE 4.0x GATE");
-  std::printf("differential (block/reference lockstep): %s\n",
+  std::printf("pipelined fast-engine speedup over tick(): alu_loop %s, "
+              "mem_loop %s, firmware e2e %s — %s\n",
+              bench::withTimes(AluPipeSpeedup, 2).c_str(),
+              bench::withTimes(MemPipeSpeedup, 2).c_str(),
+              bench::withTimes(FwPipeSpeedup, 2).c_str(),
+              PipeSpeedupOk ? "within the 1.5x gate"
+              : Quick       ? "under the gate (not enforced in --quick)"
+                            : "UNDER THE 1.5x GATE");
+  std::printf("differential (fast/reference lockstep): %s\n",
               DiffOk ? "identical" : "DIVERGED");
   for (const OverheadRow &O : Overhead)
     std::printf("metrics overhead on %s block row: %.2f%% "
@@ -406,12 +485,21 @@ int main(int argc, char **argv) {
   J.key("alu_loop_block_vs_uncached").value(AluBlockSpeedup);
   J.key("mem_loop_block_vs_uncached").value(MemBlockSpeedup);
   J.key("firmware_e2e_block_vs_uncached").value(FwBlockSpeedup);
+  J.key("alu_loop_pipelined_fast_vs_core").value(AluPipeSpeedup);
+  J.key("mem_loop_pipelined_fast_vs_core").value(MemPipeSpeedup);
+  J.key("firmware_e2e_pipelined_fast_vs_core").value(FwPipeSpeedup);
   J.endObject();
   J.key("speedup_gate").beginObject();
   J.key("kernel").value("firmware_e2e");
   J.key("min_block_vs_uncached").value(SpeedupGate);
   J.key("enforced").value(!Quick);
   J.key("ok").value(SpeedupOk);
+  J.endObject();
+  J.key("pipelined_speedup_gate").beginObject();
+  J.key("kernel").value("firmware_e2e");
+  J.key("min_fast_vs_core").value(PipeSpeedupGate);
+  J.key("enforced").value(!Quick);
+  J.key("ok").value(PipeSpeedupOk);
   J.endObject();
   J.key("differential").beginObject();
   J.key("kernels_ok").value(DiffOk);
@@ -455,6 +543,11 @@ int main(int argc, char **argv) {
   if (!SpeedupOk && !Quick) {
     std::fprintf(stderr, "block-engine speedup gate FAILED (< 4.0x the "
                          "reference stepper on firmware_e2e)\n");
+    return 1;
+  }
+  if (!PipeSpeedupOk && !Quick) {
+    std::fprintf(stderr, "pipelined fast-engine speedup gate FAILED (< 1.5x "
+                         "tick() on firmware_e2e)\n");
     return 1;
   }
   return DiffOk ? 0 : 1;

@@ -382,12 +382,15 @@ private:
         return;
       }
       break;
-    case BinOp::Sub:
-      if (support::fitsSigned(-SWord(Imm), 12)) {
-        A.emit(addi(Rd, Ra, -SWord(Imm)));
+    case BinOp::Sub: {
+      // Negate in Word: -SWord(0x80000000) would be signed overflow.
+      SWord Neg = SWord(Word(0) - Imm);
+      if (support::fitsSigned(Neg, 12)) {
+        A.emit(addi(Rd, Ra, Neg));
         return;
       }
       break;
+    }
     case BinOp::And:
       if (Fits) {
         A.emit(mkI(Opcode::Andi, Rd, Ra, S));

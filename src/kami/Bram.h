@@ -28,19 +28,28 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace b2 {
 namespace kami {
 
+/// True iff \p SizeBytes is a legal BRAM size: a power of two of at least
+/// one word. Hardware BRAMs index with the low address bits, so every
+/// size in the tree is one; the cores' index arithmetic relies on it.
+inline bool isBramSize(Word SizeBytes) {
+  return SizeBytes >= 4 && (SizeBytes & (SizeBytes - 1)) == 0;
+}
+
 /// Word-addressed block RAM with a byte-enable write port.
 class Bram {
 public:
-  /// Creates a zeroed BRAM of \p SizeBytes (positive multiple of 4).
-  explicit Bram(Word SizeBytes) : Words(SizeBytes / 4, 0) {
-    assert(SizeBytes > 0 && SizeBytes % 4 == 0 &&
-           "BRAM size must be a positive multiple of 4");
-  }
+  /// Creates a zeroed BRAM of \p SizeBytes, which must satisfy
+  /// isBramSize (checked in every build type: throws
+  /// std::invalid_argument).
+  explicit Bram(Word SizeBytes)
+      : Words(checkedWords(SizeBytes), 0), IndexMask(Word(Words.size()) - 1) {}
 
   Word sizeBytes() const { return Word(Words.size()) * 4; }
 
@@ -78,6 +87,12 @@ public:
     return uint8_t((W >> (8 * (Addr & 3))) & 0xFF);
   }
 
+  /// Word-for-word content equality (the differential engines' memory
+  /// comparison).
+  friend bool operator==(const Bram &A, const Bram &B) {
+    return A.Words == B.Words;
+  }
+
   // -- Snapshot/restore ------------------------------------------------------
 
   /// Copy-on-write checkpoint of the word array: O(words dirtied since
@@ -90,13 +105,21 @@ public:
   void restore(const Snapshot &S) { Cow.restore(Words, S.Words); }
 
 private:
+  static size_t checkedWords(Word SizeBytes) {
+    if (!isBramSize(SizeBytes))
+      throw std::invalid_argument("BRAM size " + std::to_string(SizeBytes) +
+                                  " is not a power of two of at least 4");
+    return SizeBytes / 4;
+  }
+
   Word wordIndex(Word Addr) const {
     // Hardware truncates the address to the BRAM's index width: high bits
     // wrap around.
-    return (Addr / 4) % Word(Words.size());
+    return (Addr / 4) & IndexMask;
   }
 
   std::vector<Word> Words;
+  Word IndexMask; ///< Words.size() - 1.
   support::CowTracker<Word> Cow;
 };
 

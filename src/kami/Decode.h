@@ -58,6 +58,8 @@ struct DecodedInst {
   bool AluAlt = false;///< funct7[5]: selects sub/sra.
   bool MulDiv = false;///< funct7 == 0000001: RV32M operation.
 
+  friend bool operator==(const DecodedInst &, const DecodedInst &) = default;
+
   bool readsRs1() const {
     switch (Cls) {
     case InstClass::Alu:

@@ -28,6 +28,7 @@
 #include "verify/FaultInjection.h"
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 namespace b2 {
@@ -72,6 +73,7 @@ public:
   }
 
   Bram &bram() { return Mem; }
+  const Bram &bram() const { return Mem; }
 
 private:
   Bram &Mem;
@@ -92,7 +94,10 @@ private:
 class ICache {
 public:
   explicit ICache(const Bram &Mem) {
+    if (!isBramSize(Mem.sizeBytes()))
+      throw std::invalid_argument("I$ size is not a power of two");
     Lines.resize(Mem.sizeBytes() / 4);
+    IndexMask = Word(Lines.size()) - 1;
     Word Fill = Word(Lines.size());
     if (fi::on(fi::Fault::KamiIcacheFillTruncated))
       Fill /= 2; // Seeded bug: the reset fill stops halfway; the upper
@@ -103,11 +108,11 @@ public:
     DecodedValid.resize(Lines.size(), false);
   }
 
-  Word fetch(Word Pc) const { return Lines[(Pc / 4) % Word(Lines.size())]; }
+  Word fetch(Word Pc) const { return Lines[(Pc / 4) & IndexMask]; }
 
   /// Predecoded fetch for the core models' frontends.
   const DecodedInst &fetchDecoded(Word Pc) const {
-    Word I = (Pc / 4) % Word(Lines.size());
+    Word I = (Pc / 4) & IndexMask;
     if (!DecodedValid[I]) {
       Decoded[I] = decodeInst(Lines[I]);
       DecodedValid[I] = true;
@@ -119,6 +124,7 @@ public:
 
 private:
   std::vector<Word> Lines;
+  Word IndexMask = 0; ///< Lines.size() - 1 (a power of two minus one).
   // Memoized decodes; mutable because filling the memo is not an
   // architectural state change (the snapshot itself is immutable).
   mutable std::vector<DecodedInst> Decoded;

@@ -26,15 +26,6 @@ PipelinedCore::PipelinedCore(Bram &Mem, riscv::MmioDevice &Device,
   }
 }
 
-Word PipelinedCore::predictNext(Word Pc) const {
-  if (Config.UseBtb) {
-    const BtbEntry &E = Btb[(Pc / 4) & (Btb.size() - 1)];
-    if (E.Valid && E.Pc == Pc)
-      return E.Target;
-  }
-  return Pc + 4;
-}
-
 void PipelinedCore::trainBtb(Word Pc, Word ActualNext) {
   if (!Config.UseBtb)
     return;
@@ -62,27 +53,11 @@ void PipelinedCore::stageWriteback() {
     return;
   }
 
-  if (W.D.Cls == InstClass::Load) {
-    Word Raw = Port.load(W.MemAddr, W.D.Funct3 == 2 ? 4
-                                    : (W.D.Funct3 & 1) ? 2
-                                                       : 1,
-                         Stats.Cycles, Labels);
-    setReg(W.D.Rd, execLoadExtend(W.D.Funct3, Raw));
-  } else if (W.D.Cls == InstClass::Store) {
-    unsigned Size = W.D.Funct3 == 2 ? 4 : W.D.Funct3 == 1 ? 2 : 1;
-    Port.store(W.MemAddr, Size, W.StoreData, Stats.Cycles, Labels);
-  } else if (W.D.writesRd()) {
-    setReg(W.D.Rd, W.AluResult);
-  }
-
+  retire(W, Stats.Cycles);
   if (W.D.writesRd()) {
     assert(Pending[W.D.Rd] > 0 && "scoreboard underflow");
     --Pending[W.D.Rd];
   }
-
-  assert(W.Pc == CommitPc && "out-of-order retirement");
-  CommitPc = W.NextPc;
-  ++Stats.Retired;
   E2W.reset();
 }
 
@@ -90,47 +65,7 @@ void PipelinedCore::stageExecute() {
   if (!D2E || E2W)
     return;
   DecodeOut &X = *D2E;
-
-  ExecOut Out;
-  Out.Pc = X.Pc;
-  Out.D = X.D;
-  Out.NextPc = X.Pc + 4;
-
-  switch (X.D.Cls) {
-  case InstClass::Illegal:
-  case InstClass::Fence:
-  case InstClass::System:
-    break;
-  case InstClass::Lui:
-    Out.AluResult = X.D.Imm;
-    break;
-  case InstClass::Auipc:
-    Out.AluResult = X.Pc + X.D.Imm;
-    break;
-  case InstClass::Jal:
-    Out.AluResult = X.Pc + 4;
-    Out.NextPc = X.Pc + X.D.Imm;
-    break;
-  case InstClass::Jalr:
-    Out.AluResult = X.Pc + 4;
-    Out.NextPc = (X.A + X.D.Imm) & ~Word(1);
-    break;
-  case InstClass::Branch:
-    if (execBranchTaken(X.D.Funct3, X.A, X.B))
-      Out.NextPc = X.Pc + X.D.Imm;
-    break;
-  case InstClass::Load:
-  case InstClass::Store:
-    Out.MemAddr = X.A + X.D.Imm;
-    Out.StoreData = X.B;
-    break;
-  case InstClass::Alu:
-    Out.AluResult = execAlu(X.D, X.A, X.B);
-    break;
-  case InstClass::AluImm:
-    Out.AluResult = execAlu(X.D, X.A, X.D.Imm);
-    break;
-  }
+  ExecOut Out = execute(X.D, X.Pc, X.A, X.B);
 
   // Control-flow verification: every instruction (not just branches)
   // checks the frontend's prediction, because a stale BTB entry can

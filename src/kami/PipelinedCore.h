@@ -21,6 +21,10 @@
 /// Like every Kami-level model, this core has no notion of undefined
 /// behavior; see kami/SpecCore.h.
 ///
+/// tick() is the reference semantics, one call per clock cycle.
+/// kami/PipeEngine.h is the checked fast engine that reproduces its exact
+/// cycle schedule one instruction per step.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef B2_KAMI_PIPELINEDCORE_H
@@ -33,6 +37,7 @@
 #include "riscv/Mmio.h"
 #include "support/Snapshot.h"
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -70,6 +75,7 @@ struct PipeStats {
   uint64_t Forwards = 0;    ///< Operands satisfied by the forwarding path.
   uint64_t MmioStalls = 0;  ///< WB cycles spent waiting on external calls.
   uint64_t FillCycles = 0;  ///< Reset cycles spent filling the I$.
+  friend bool operator==(const PipeStats &, const PipeStats &) = default;
 };
 
 /// The pipelined RV32IM core.
@@ -109,10 +115,14 @@ public:
 private:
   // -- Pipeline registers ----------------------------------------------------
 
+  // Latch and BTB contents compare memberwise: the fast engine's
+  // Differential mode demands they match the reference exactly.
+
   struct FetchOut {
     Word Pc = 0;
     Word PredictedNext = 0;
     Word Raw = 0;
+    friend bool operator==(const FetchOut &, const FetchOut &) = default;
   };
 
   struct DecodeOut {
@@ -121,6 +131,7 @@ private:
     DecodedInst D;
     Word A = 0; ///< rs1 value read in ID.
     Word B = 0; ///< rs2 value read in ID.
+    friend bool operator==(const DecodeOut &, const DecodeOut &) = default;
   };
 
   struct ExecOut {
@@ -130,12 +141,14 @@ private:
     Word AluResult = 0; ///< ALU result or link value.
     Word MemAddr = 0;
     Word StoreData = 0;
+    friend bool operator==(const ExecOut &, const ExecOut &) = default;
   };
 
   struct BtbEntry {
     bool Valid = false;
     Word Pc = 0;
     Word Target = 0;
+    friend bool operator==(const BtbEntry &, const BtbEntry &) = default;
   };
 
   MemPort Port;
@@ -183,10 +196,22 @@ public:
   void restore(const Snapshot &S);
 
 private:
+  friend class PipeEngine;
+
   void setReg(unsigned R, Word V) {
     if (R != 0)
       Regs[R] = V;
   }
+
+  /// The EX stage's combinational datapath: next pc, ALU/link result,
+  /// memory address and store data of \p D at \p Pc with operands
+  /// \p A and \p B. Shared by tick() and the fast engine.
+  static ExecOut execute(const DecodedInst &D, Word Pc, Word A, Word B);
+  /// The WB stage's state update for a retiring \p W at \p Cycle: the
+  /// memory access (external ones label with \p Cycle), the register
+  /// write, CommitPc and the retirement count. Shared by tick() and the
+  /// fast engine; the scoreboard is the caller's.
+  void retire(const ExecOut &W, uint64_t Cycle);
 
   Word predictNext(Word Pc) const;
   void trainBtb(Word Pc, Word ActualNext);
@@ -195,6 +220,81 @@ private:
   void stageDecode();
   void stageFetch();
 };
+
+// -- Datapath shared by tick() and the fast engine -----------------------------
+
+inline Word PipelinedCore::predictNext(Word Pc) const {
+  if (Config.UseBtb) {
+    const BtbEntry &E = Btb[(Pc / 4) & (Btb.size() - 1)];
+    if (E.Valid && E.Pc == Pc)
+      return E.Target;
+  }
+  return Pc + 4;
+}
+
+inline PipelinedCore::ExecOut
+PipelinedCore::execute(const DecodedInst &D, Word Pc, Word A, Word B) {
+  ExecOut Out;
+  Out.Pc = Pc;
+  Out.D = D;
+  Out.NextPc = Pc + 4;
+
+  switch (D.Cls) {
+  case InstClass::Illegal:
+  case InstClass::Fence:
+  case InstClass::System:
+    break;
+  case InstClass::Lui:
+    Out.AluResult = D.Imm;
+    break;
+  case InstClass::Auipc:
+    Out.AluResult = Pc + D.Imm;
+    break;
+  case InstClass::Jal:
+    Out.AluResult = Pc + 4;
+    Out.NextPc = Pc + D.Imm;
+    break;
+  case InstClass::Jalr:
+    Out.AluResult = Pc + 4;
+    Out.NextPc = (A + D.Imm) & ~Word(1);
+    break;
+  case InstClass::Branch:
+    if (execBranchTaken(D.Funct3, A, B))
+      Out.NextPc = Pc + D.Imm;
+    break;
+  case InstClass::Load:
+  case InstClass::Store:
+    Out.MemAddr = A + D.Imm;
+    Out.StoreData = B;
+    break;
+  case InstClass::Alu:
+    Out.AluResult = execAlu(D, A, B);
+    break;
+  case InstClass::AluImm:
+    Out.AluResult = execAlu(D, A, D.Imm);
+    break;
+  }
+  return Out;
+}
+
+inline void PipelinedCore::retire(const ExecOut &W, uint64_t Cycle) {
+  if (W.D.Cls == InstClass::Load) {
+    Word Raw = Port.load(W.MemAddr, W.D.Funct3 == 2 ? 4
+                                    : (W.D.Funct3 & 1) ? 2
+                                                       : 1,
+                         Cycle, Labels);
+    setReg(W.D.Rd, execLoadExtend(W.D.Funct3, Raw));
+  } else if (W.D.Cls == InstClass::Store) {
+    unsigned Size = W.D.Funct3 == 2 ? 4 : W.D.Funct3 == 1 ? 2 : 1;
+    Port.store(W.MemAddr, Size, W.StoreData, Cycle, Labels);
+  } else if (W.D.writesRd()) {
+    setReg(W.D.Rd, W.AluResult);
+  }
+
+  assert(W.Pc == CommitPc && "out-of-order retirement");
+  CommitPc = W.NextPc;
+  ++Stats.Retired;
+}
 
 } // namespace kami
 } // namespace b2

@@ -46,6 +46,7 @@
 #define B2_RISCV_BLOCKENGINE_H
 
 #include "isa/Instr.h"
+#include "riscv/ExecMode.h"
 #include "riscv/Machine.h"
 #include "support/Word.h"
 
@@ -56,20 +57,6 @@
 
 namespace b2 {
 namespace riscv {
-
-/// Which execution engine drives a machine.
-enum class ExecMode : uint8_t {
-  Reference,    ///< The reference stepper (riscv/Step.h): the spec.
-  Block,        ///< Superblock traces with reference-stepper fallback.
-  Differential, ///< Block engine checked in lockstep against Reference.
-};
-
-/// Stable lower-case name ("reference", "block", "differential").
-const char *execModeName(ExecMode Mode);
-
-/// Parses a mode name (accepts "diff" for Differential). Returns false
-/// and leaves \p Out untouched on unknown names.
-bool execModeByName(const std::string &Name, ExecMode &Out);
 
 /// Execution counters of one BlockEngine, for benchmarks and tests.
 struct BlockEngineStats {

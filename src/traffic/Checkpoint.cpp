@@ -79,6 +79,8 @@ SoakMachine::SoakMachine(const compiler::CompiledProgram &Prog, SoakCore Core,
     Mem->loadImage(Prog.image());
     Pipe = std::make_unique<kami::PipelinedCore>(*Mem, Plat,
                                                  kami::PipeConfig());
+    if (SimExec != riscv::ExecMode::Reference)
+      PipeEng = std::make_unique<kami::PipeEngine>(*Pipe, SimExec);
     break;
   }
 }
@@ -100,7 +102,10 @@ uint64_t SoakMachine::runChunk(uint64_t Cycles, bool &Ok) {
     Spec->run(Cycles);
     return Cycles;
   case SoakCore::Pipelined:
-    Pipe->run(Cycles);
+    if (PipeEng)
+      PipeEng->run(Cycles);
+    else
+      Pipe->run(Cycles);
     return Cycles;
   }
   return 0;
@@ -141,11 +146,14 @@ std::string SoakMachine::simUbDetail() const {
 }
 
 bool SoakMachine::engineDiverged() const {
-  return Engine && Engine->divergences() > 0;
+  return (Engine && Engine->divergences() > 0) ||
+         (PipeEng && PipeEng->divergences() > 0);
 }
 
 std::string SoakMachine::engineDivergenceDetail() const {
-  return Engine ? Engine->divergenceDetail() : std::string();
+  return Engine    ? Engine->divergenceDetail()
+         : PipeEng ? PipeEng->divergenceDetail()
+                   : std::string();
 }
 
 SoakMachine::Snapshot SoakMachine::snapshot() {
@@ -180,6 +188,8 @@ void SoakMachine::restore(const Snapshot &S) {
     Spec->restore(*S.Spec);
   if (Pipe)
     Pipe->restore(*S.Pipe);
+  if (PipeEng)
+    PipeEng->onRestore();
   Plat.restore(S.Plat);
   ConvertedChain.restore(ConvertedTrace, S.ConvertedTrace);
   Converted = S.Converted;
@@ -282,7 +292,7 @@ ShardStats b2::traffic::collectShardStats(SoakMachine &M, ShardExit Exit,
   }
   if (Exit == ShardExit::Diverged) {
     S.Diverged = true;
-    S.Error = "block engine left lockstep: " + M.engineDivergenceDetail();
+    S.Error = "fast engine left lockstep: " + M.engineDivergenceDetail();
   }
 
   S.FramesDelivered = Options.HonorSchedule

@@ -37,6 +37,7 @@
 #define B2_TRAFFIC_CHECKPOINT_H
 
 #include "kami/Bram.h"
+#include "kami/PipeEngine.h"
 #include "kami/PipelinedCore.h"
 #include "kami/SpecCore.h"
 #include "riscv/Machine.h"
@@ -98,7 +99,8 @@ public:
   /// reported !Ok.
   std::string simUbDetail() const;
 
-  /// Lockstep divergence of the block engine (ExecMode::Differential
+  /// Lockstep divergence of the fast engine — the ISA simulator's block
+  /// engine or the pipelined core's PipeEngine (ExecMode::Differential
   /// only; always false otherwise).
   bool engineDiverged() const;
   std::string engineDivergenceDetail() const;
@@ -165,6 +167,10 @@ private:
   std::unique_ptr<kami::Bram> Mem;
   std::unique_ptr<kami::SpecCore> Spec;
   std::unique_ptr<kami::PipelinedCore> Pipe;
+  /// The pipelined core's engine; null in ExecMode::Reference and on the
+  /// other cores. It keeps no state between chunks beyond its
+  /// Differential shadow, which restore resyncs.
+  std::unique_ptr<kami::PipeEngine> PipeEng;
   riscv::MmioTrace ConvertedTrace;
   size_t Converted = 0;
   support::ChainTracker<riscv::MmioEvent> ConvertedChain;
@@ -176,7 +182,7 @@ private:
 enum class ShardExit : uint8_t {
   Completed,        ///< Drained and settled (or empty schedule consumed).
   HitUb,            ///< ISA simulator hit UB mid-chunk.
-  Diverged,         ///< Differential block engine left lockstep.
+  Diverged,         ///< Differential fast engine left lockstep.
   Violated,         ///< Streaming monitor rejected an event.
   BudgetExhausted,  ///< MaxCyclesPerShard reached first.
   ReadyToInject,    ///< StopBeforeFirstInject: boot finished, RX enabled,

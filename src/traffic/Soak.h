@@ -55,12 +55,13 @@ const char *soakCoreName(SoakCore C);
 
 struct SoakOptions {
   SoakCore Core = SoakCore::Pipelined;
-  /// Execution engine of the ISA simulator (SoakCore::IsaSim only):
-  /// Reference runs the uncached spec stepper, Block runs the superblock
-  /// trace engine, Differential runs both in lockstep and fails the shard
-  /// on the first divergence. Shard results are bit-identical across all
-  /// three modes by construction — the engine retires the same
-  /// instruction schedule as the stepper.
+  /// Engine of whichever core runs (the spec core has only one):
+  /// Reference runs the layer's reference semantics (the ISA stepper, or
+  /// PipelinedCore::tick), Block runs its fast engine (superblock traces,
+  /// or the instruction-stepped kami::PipeEngine), Differential runs both
+  /// in lockstep and fails the shard on the first divergence. Shard
+  /// results are bit-identical across all three modes by construction —
+  /// each fast engine reproduces its reference's exact schedule.
   riscv::ExecMode SimExec = riscv::ExecMode::Block;
   unsigned Threads = 1;      ///< Worker threads (report-invariant).
   /// Shards to split the stream into; 0 derives one shard per
@@ -106,7 +107,7 @@ struct ShardStats {
   bool CrossCheckOk = true;   ///< Second-substrate agreement (or not run).
   bool Drained = false;       ///< All frames delivered and FIFO emptied.
   bool HitUb = false;         ///< ISA simulator undefined behavior.
-  bool Diverged = false;      ///< Differential block engine left lockstep.
+  bool Diverged = false;      ///< Differential fast engine left lockstep.
   std::string Error;          ///< First failure, human-readable.
   uint64_t FramesDelivered = 0;
   uint64_t FramesAccepted = 0;  ///< NIC-accepted subset.

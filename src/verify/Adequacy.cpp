@@ -21,6 +21,7 @@
 #include "devices/Platform.h"
 #include "isa/Build.h"
 #include "isa/Encoding.h"
+#include "kami/PipeEngine.h"
 #include "riscv/BlockEngine.h"
 #include "riscv/Machine.h"
 #include "support/Json.h"
@@ -618,7 +619,7 @@ std::vector<Stim> soakMonitorStims() {
 // runs equally and never trips this column; only a fault in the
 // checkpoint layer itself (SnapStateStaleLatch corrupts one restored SPI
 // latch) makes the resumed run diverge. Kept on the ISA simulator so the
-// full 36-fault matrix stays cheap; the fuzz tests cover all three cores.
+// full 38-fault matrix stays cheap; the fuzz tests cover all three cores.
 
 bool snapDiffFails(uint64_t Seed, uint64_t Frames, size_t Depth,
                    std::string &Detail) {
@@ -662,14 +663,18 @@ std::vector<Stim> snapDiffStims() {
 
 // -- BlockDiff column --------------------------------------------------------
 //
-// The superblock trace engine checked in lockstep against the reference
-// stepper (riscv/BlockEngine.h, ExecMode::Differential): hand-assembled
-// programs drive both engines over the same instruction schedule, and
-// any mismatch in registers, pc, RAM, UB verdict, retirement count, or
-// MMIO events is a kill. The stimuli are chosen so every engine fast
-// path — fused addi/branch counters, fused lw/sw copy pairs, block
-// linking, and the stale-superblock invalidation discipline — changes an
-// observable the lockstep compares.
+// Each fast engine checked in lockstep against its reference
+// (ExecMode::Differential). The superblock trace engine
+// (riscv/BlockEngine.h) runs hand-assembled programs against the
+// reference stepper, and any mismatch in registers, pc, RAM, UB verdict,
+// retirement count, or MMIO events is a kill; those stimuli are chosen so
+// every engine fast path — fused addi/branch counters, fused lw/sw copy
+// pairs, block linking, and the stale-superblock invalidation discipline
+// — changes an observable the lockstep compares. The pipelined core's
+// instruction-stepped engine (kami/PipeEngine.h) runs an MMIO loop
+// against tick() on a shadow core, and any mismatch in the whole core
+// state — cycle counts and stall counters, latches, BTB, labels with
+// their cycles — or the BRAM is a kill.
 
 bool blockDiffFails(const std::vector<isa::Instr> &P, std::string &Detail,
                     uint64_t MaxSteps = 20'000, uint64_t Chunk = 97) {
@@ -685,6 +690,25 @@ bool blockDiffFails(const std::vector<isa::Instr> &P, std::string &Detail,
     if (R == 0)
       break;
   }
+  if (E.divergences() != 0) {
+    Detail = E.divergenceDetail();
+    return true;
+  }
+  return false;
+}
+
+bool pipeDiffFails(const std::vector<isa::Instr> &P, std::string &Detail,
+                   uint64_t Cycles = 40'000) {
+  kami::Bram Mem(64 * 1024);
+  Mem.loadImage(isa::instrencode(P));
+  riscv::NoDevice Dev;
+  kami::PipelinedCore Core(Mem, Dev);
+  kami::PipeEngine E(Core, riscv::ExecMode::Differential);
+  // Chunk sizes wander over 1..996 cycles, so boundaries land inside RAW
+  // and MMIO stalls and the latches are rebuilt mid-flight.
+  for (uint64_t Chunk = 1; Core.cycles() < Cycles && E.divergences() == 0;
+       Chunk = Chunk * 7 % 997)
+    E.run(Chunk);
   if (E.divergences() != 0) {
     Detail = E.divergenceDetail();
     return true;
@@ -754,6 +778,25 @@ std::vector<Stim> blockDiffStims() {
          P.push_back(addi(A1, A1, -4));
          P.push_back(mkB(Opcode::Bne, A1, Zero, -8));
          return blockDiffFails(P, D);
+       }},
+      // The pipelined core's fast engine: external loads and stores whose
+      // handshake latency the recurrence charges at write-back, RAW
+      // hazards on their results, RAM traffic, and a loop branch the BTB
+      // learns after its first mispredictions.
+      {"pipelined-mmio-loop", [](std::string &D) {
+         std::vector<Instr> P;
+         P.push_back(lui(A0, SWord(0x10000000))); // External, past RAM.
+         P.push_back(addi(A1, Zero, 0));
+         P.push_back(addi(A2, Zero, 300));
+         P.push_back(lw(A3, A0, 0));              // Loop head (address 12).
+         P.push_back(mkR(Opcode::Add, A4, A3, A1));
+         P.push_back(sw(A0, A4, 4));
+         P.push_back(sw(Zero, A1, 0x400));
+         P.push_back(lw(A5, Zero, 0x400));
+         P.push_back(addi(A1, A1, 1));
+         P.push_back(mkB(Opcode::Bne, A1, A2, -24));
+         P.push_back(jal(Zero, 0));               // Halt spin.
+         return pipeDiffFails(P, D);
        }},
   };
 }

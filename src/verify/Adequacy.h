@@ -49,10 +49,12 @@ namespace verify {
 /// with the offline matcher; SnapDiff is the checkpoint layer's bit-identity
 /// differential — a snapshot-resumed soak run must match the
 /// straight-through run exactly, so it is the column that owns
-/// checkpoint/restore faults; BlockDiff is the superblock trace engine's
-/// lockstep differential (riscv/BlockEngine.h, ExecMode::Differential) —
-/// the column that owns the engine's translation and invalidation
-/// discipline faults.
+/// checkpoint/restore faults; BlockDiff checks each fast engine against
+/// its reference in lockstep (ExecMode::Differential): the ISA
+/// simulator's superblock engine (riscv/BlockEngine.h) against the
+/// stepper, and the pipelined core's instruction-stepped engine
+/// (kami/PipeEngine.h) against tick() — the column that owns the fast
+/// engines' own faults.
 enum class Checker : uint8_t {
   CompilerDiff,     ///< Source semantics vs. compiled machine code.
   InterpDiff,       ///< Reference AST walker vs. bytecode engine.
@@ -62,7 +64,7 @@ enum class Checker : uint8_t {
   DecodeConsistency,///< Kami decoder vs. riscv-coq-style decoder.
   SoakMonitor,      ///< Traffic soak harness and streaming monitor.
   SnapDiff,         ///< Snapshot-resume vs. straight-through identity.
-  BlockDiff,        ///< Superblock trace engine vs. reference stepper.
+  BlockDiff,        ///< Each fast engine vs. its reference semantics.
   VcCheck,          ///< Symbolic VC engine vs. checking interpreter:
                     ///< counterexamples must replay concretely, Valid
                     ///< verdicts must survive seeded concrete probes.

@@ -49,7 +49,7 @@ E2EResult b2::verify::runCompiledEndToEnd(const compiler::CompiledProgram &Prog,
   R.Trace = M.trace();
   if (Exit == traffic::ShardExit::Diverged) {
     R.Error =
-        "ISA simulator engine divergence: " + M.engineDivergenceDetail();
+        "fast engine divergence: " + M.engineDivergenceDetail();
     return R;
   }
   if (Exit == traffic::ShardExit::HitUb) {

@@ -58,10 +58,11 @@ struct E2EOptions {
   app::FirmwareOptions Firmware;   ///< Default: verified firmware.
   compiler::CompilerOptions Compiler = compiler::CompilerOptions::o0();
   uint64_t MaxCycles = 400'000'000;
-  /// Execution engine of the ISA simulator (SoakCore::IsaSim only).
-  /// Block runs the superblock trace engine; Reference runs the spec
-  /// stepper alone; Differential checks Block in lockstep against the
-  /// spec and fails the run on the first divergence.
+  /// Engine of the ISA simulator or the pipelined core (see
+  /// traffic::SoakOptions::SimExec). Block runs the fast engine;
+  /// Reference runs the reference semantics alone; Differential checks
+  /// Block in lockstep against it and fails the run on the first
+  /// divergence.
   riscv::ExecMode SimExec = riscv::ExecMode::Block;
 };
 

@@ -75,6 +75,11 @@ const std::vector<FaultInfo> &b2::fi::faultRegistry() {
        "Lockstep",
        "the reset-time I$ fill copies only the lower half of BRAM; upper "
        "fetches read zero words"},
+      {Fault::KamiFastMmioLatencyDropped, "kami-fast-mmio-latency-dropped",
+       "kami", "BlockDiff",
+       "the pipelined core's fast engine retires external loads and "
+       "stores one cycle after EX, dropping the MMIO handshake latency "
+       "from its cycle recurrence"},
       // -- Devices -----------------------------------------------------------
       {Fault::DevLanRxByteOrder, "dev-lan-rx-byte-order", "devices",
        "EndToEnd",

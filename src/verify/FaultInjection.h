@@ -67,7 +67,7 @@ enum class Fault : uint8_t {
   SimBlockFusedClobber,       ///< The fused addi/branch micro-op compares
                               ///< against the stale pre-increment counter
                               ///< value instead of the updated one.
-  // -- Kami processor bugs (owned by Refinement / Lockstep / Decode) -------
+  // -- Kami processor bugs (Refinement / Lockstep / Decode / BlockDiff) ---
   KamiBtbNoSquash,            ///< Mispredicted wrong-path instr not squashed.
   KamiForwardLoadStale,       ///< WB forwarding bypasses load results too,
                               ///< handing ID a stale ALU latch.
@@ -77,6 +77,9 @@ enum class Fault : uint8_t {
   KamiDecodeShamtWide,        ///< Shift-immediate decode skips the 5-bit
                               ///< shamt mask (full I-imm leaks through).
   KamiIcacheFillTruncated,    ///< Reset fill copies only half the BRAM.
+  KamiFastMmioLatencyDropped, ///< The pipelined core's fast engine retires
+                              ///< external accesses one cycle after EX,
+                              ///< dropping the MMIO handshake latency.
   // -- Device-model bugs (owned by EndToEnd) -------------------------------
   DevLanRxByteOrder,          ///< RX FIFO assembles words big-endian.
   DevLanRxLengthOffByOne,     ///< RX status reports length + 1.

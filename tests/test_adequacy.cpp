@@ -7,7 +7,7 @@
 // Tier-1 coverage for the fault-injection adequacy campaign itself: the
 // injection kernel, the no-false-positive baseline, one representative
 // seeded fault per stack layer killed by its owning checker, and
-// bit-identical reports at every thread count. The full 36-fault matrix
+// bit-identical reports at every thread count. The full 38-fault matrix
 // runs as the `adequacy` CI tier (tools/adequacy).
 //
 //===----------------------------------------------------------------------===//
@@ -152,6 +152,12 @@ TEST(Adequacy, BlockEngineStaleSuperblockFaultKilled) {
 
 TEST(Adequacy, BlockEngineFusedClobberFaultKilled) {
   expectOwnerKills("sim-fused-op-flag-clobber");
+}
+
+// The pipelined core's fast engine: a recurrence that drops the MMIO
+// handshake latency must fall to the same lockstep column.
+TEST(Adequacy, PipeEngineMmioLatencyFaultKilled) {
+  expectOwnerKills("kami-fast-mmio-latency-dropped");
 }
 
 // The VC engine's own faults: both must fall to the VcCheck column. A

@@ -20,11 +20,14 @@
 #include "compiler/Compile.h"
 #include "isa/Build.h"
 #include "isa/Encoding.h"
+#include "support/Word.h"
 #include "verify/FaultInjection.h"
 
 #include "RandomProgram.h"
 
 #include <gtest/gtest.h>
+
+#include <cassert>
 
 using namespace b2;
 using namespace b2::isa;
@@ -73,9 +76,12 @@ void expectSameArchState(const Machine &A, const Machine &B) {
 /// i = 0; do { i++; } while (i != N); then spin. The loop body is the
 /// addi/bne counter idiom the engine fuses.
 std::vector<Instr> counterLoop(SWord N) {
+  // One instruction sets the bound, so the loop head stays at pc 8: addi
+  // when N fits its 12-bit immediate, else lui (N a multiple of 4096).
+  assert(support::fitsSigned(N, 12) || N % 4096 == 0);
   return {
       addi(A0, Zero, 0),
-      addi(A1, Zero, N),
+      support::fitsSigned(N, 12) ? addi(A1, Zero, N) : lui(A1, N),
       addi(A0, A0, 1),             // pc 8: loop head.
       mkB(Opcode::Bne, A0, A1, -4),
       jal(Zero, 0),                // pc 16: halt spin.
@@ -217,11 +223,11 @@ TEST(BlockEngine, HostPokeStraddlingWordBoundaryKillsBlocks) {
   // engine must refetch and see the same (invalid) bytes the stepper
   // sees — a stale trace would instead keep looping.
   NoDevice D1, D2;
-  Machine Ref = machineWith(counterLoop(4000));
-  Machine Blk = machineWith(counterLoop(4000));
+  Machine Ref = machineWith(counterLoop(4096));
+  Machine Blk = machineWith(counterLoop(4096));
   BlockEngine E(Blk, D2, ExecMode::Block);
   riscv::run(Ref, D1, 500);
-  E.run(500); // Loop is hot and mid-flight (i < 4000).
+  E.run(500); // Loop is hot and mid-flight (i < 4096).
   EXPECT_GE(E.stats().BlocksTranslated, 1u);
   Ref.writeRam(14, 4, 0xFFFFFFFF); // Straddles words at pc 12 and pc 16.
   Blk.writeRam(14, 4, 0xFFFFFFFF);
@@ -236,8 +242,8 @@ TEST(BlockEngine, XAddrsRemovalSpanKillsBlocks) {
   // loop body must kill the covering superblock and surface the
   // FetchNotExecutable verdict, exactly like the stepper.
   NoDevice D1, D2;
-  Machine Ref = machineWith(counterLoop(4000));
-  Machine Blk = machineWith(counterLoop(4000));
+  Machine Ref = machineWith(counterLoop(4096));
+  Machine Blk = machineWith(counterLoop(4096));
   BlockEngine E(Blk, D2, ExecMode::Block);
   riscv::run(Ref, D1, 500);
   E.run(500);

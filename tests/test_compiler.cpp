@@ -266,6 +266,22 @@ TEST(Compile, Fibonacci) {
   EXPECT_EQ(compileAndRun(P, "fib", {47}), 2971215073u);
 }
 
+TEST(Compile, SubtractImmediateIncludingIntMin) {
+  // Subtracting a constant folds into addi of its negation when that fits
+  // 12 bits. 0x80000000 has no signed negation: codegen must negate in
+  // Word arithmetic (no signed overflow) and fall back to a register sub.
+  Program P = parseOrDie(R"(
+    fn small(x) -> (r) { r = x - 5; }
+    fn intmin(x) -> (r) { r = x - 0x80000000; }
+  )");
+  for (const CompilerOptions &O :
+       {CompilerOptions::o0(), CompilerOptions::o3()}) {
+    EXPECT_EQ(compileAndRun(P, "small", {3}, O), Word(-2));
+    EXPECT_EQ(compileAndRun(P, "intmin", {5}, O), 0x80000005u);
+    EXPECT_EQ(compileAndRun(P, "intmin", {0x80000000u}, O), 0u);
+  }
+}
+
 TEST(Compile, MemcpyViaStackalloc) {
   Program P = parseOrDie(R"(
     fn f() -> (r) {

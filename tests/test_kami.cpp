@@ -6,6 +6,7 @@
 
 #include "kami/Bram.h"
 #include "kami/Decode.h"
+#include "kami/MemSystem.h"
 #include "kami/PipelinedCore.h"
 #include "kami/SpecCore.h"
 
@@ -14,6 +15,8 @@
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 using namespace b2;
 using namespace b2::isa;
@@ -45,6 +48,29 @@ TEST(Bram, AddressWrapsHighBits) {
   // 64 + 0 wraps to word 0.
   EXPECT_EQ(B.readWord(64), 0x11111111u);
   EXPECT_EQ(B.readWord(0x10000040), 0x11111111u);
+}
+
+TEST(Bram, HighAddressWrapMasksTheIndex) {
+  // Section 5.8: too-large addresses drop their high bits. On a 64-byte
+  // BRAM every address aliases word (Addr / 4) mod 16, for reads, writes
+  // and the I$ alike — including the top of the address space.
+  Bram B(64);
+  B.writeWord(0xFFFFFFFC, 0xF, 0xCAFEF00D); // Word 15.
+  EXPECT_EQ(B.readWord(60), 0xCAFEF00Du);
+  B.writeWord(0x80000004, 0x1, 0x000000AB); // Word 1, lane 0.
+  EXPECT_EQ(B.readWord(4), 0x000000ABu);
+  EXPECT_EQ(B.readByte(0x12345604), 0xAB);
+  ICache I(B);
+  EXPECT_EQ(I.fetch(0xFFFFFFFC), 0xCAFEF00Du);
+  EXPECT_EQ(I.fetch(0x40 + 4), 0x000000ABu);
+}
+
+TEST(Bram, SizeMustBeAPowerOfTwo) {
+  // Checked in every build type, not only by assert.
+  for (Word Bytes : {Word(0), Word(2), Word(12), Word(48), Word(96 * 1024)})
+    EXPECT_THROW(Bram{Bytes}, std::invalid_argument) << Bytes;
+  for (Word Bytes : {Word(4), Word(64), Word(256 * 1024)})
+    EXPECT_NO_THROW(Bram{Bytes}) << Bytes;
 }
 
 TEST(Bram, ByteViewMatchesLanes) {

@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Args.h"
 #include "support/Format.h"
 #include "support/Rng.h"
 #include "support/Word.h"
@@ -126,4 +127,29 @@ TEST(Format, JoinAndPad) {
   EXPECT_EQ(padLeft("x", 3), "  x");
   EXPECT_EQ(padRight("x", 3), "x  ");
   EXPECT_EQ(padLeft("xyzw", 3), "xyzw");
+}
+
+TEST(Args, ParseUnsignedAcceptsPlainDecimalInRange) {
+  uint64_t V = 7;
+  EXPECT_TRUE(parseUnsigned("0", 0, 10, V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseUnsigned("10", 0, 10, V));
+  EXPECT_EQ(V, 10u);
+  EXPECT_TRUE(parseUnsigned("18446744073709551615", 0, UINT64_MAX, V));
+  EXPECT_EQ(V, UINT64_MAX);
+}
+
+TEST(Args, ParseUnsignedRejectsJunkAndOutOfRange) {
+  for (const char *Bad : {"", "abc", "-1", "+1", " 1", "1 ", "12x", "1.5",
+                          "0x10", "18446744073709551616",
+                          "99999999999999999999"}) {
+    uint64_t V = 7;
+    EXPECT_FALSE(parseUnsigned(Bad, 0, UINT64_MAX, V)) << "'" << Bad << "'";
+    EXPECT_EQ(V, 7u) << "'" << Bad << "'";
+  }
+  uint64_t V = 7;
+  EXPECT_FALSE(parseUnsigned("0", 1, 10, V));
+  EXPECT_FALSE(parseUnsigned("11", 1, 10, V));
+  EXPECT_FALSE(parseUnsigned(nullptr, 0, 10, V));
+  EXPECT_EQ(V, 7u);
 }

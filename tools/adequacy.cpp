@@ -14,6 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Args.h"
 #include "support/Json.h"
 #include "support/Metrics.h"
 #include "verify/Adequacy.h"
@@ -76,7 +77,11 @@ int main(int Argc, char **Argv) {
     if (Arg == "--quick") {
       Options.Quick = true;
     } else if (Arg == "--threads" && I + 1 < Argc) {
-      Options.Threads = unsigned(std::max(1, std::atoi(Argv[++I])));
+      uint64_t N = 0;
+      if (!support::parseNumericFlag("adequacy", "--threads", Argv[++I], 1,
+                                     256, N))
+        return 2;
+      Options.Threads = unsigned(N);
     } else if (Arg == "--out" && I + 1 < Argc) {
       OutPath = Argv[++I];
     } else if (Arg == "--metrics" && I + 1 < Argc) {

@@ -200,6 +200,13 @@ int runBinary(const compiler::CompiledProgram &Prog, const Options &O) {
     Trace = M.trace();
     Retired = M.retiredInstructions();
   } else if (O.Core == "spec" || O.Core == "pipe") {
+    if (!kami::isBramSize(O.RamBytes)) {
+      std::fprintf(stderr,
+                   "b2c: --ram=%u: the Kami cores' BRAM must be a power of "
+                   "two of at least 4 bytes\n",
+                   unsigned(O.RamBytes));
+      return 1;
+    }
     kami::Bram Mem(O.RamBytes);
     Mem.loadImage(Prog.image());
     if (O.Core == "spec") {

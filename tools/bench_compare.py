@@ -43,6 +43,12 @@ import sys
 # file name -> (array key, identity fields, throughput field)
 # BENCH_sim.json superseded BENCH_sim_throughput.json when the simulator
 # bench grew the superblock-engine rows; old baselines simply skip.
+# Its substrates, each paired with its kernels (alu_loop, mem_loop,
+# firmware_e2e): isa_sim_uncached and isa_sim_block (the ISA simulator's
+# reference stepper and block engine), spec_core, pipelined_core (the
+# pipelined core's reference tick()) and pipelined_fast (its
+# instruction-stepped engine). A row the baseline predates is reported
+# as new and skipped.
 BENCH_FILES = {
     "BENCH_sim.json": ("kernels", ("kernel", "substrate"),
                        "instr_per_sec"),
@@ -283,6 +289,10 @@ def main(argv=None):
                 failures.append(label)
             print(f"bench_compare: {label}: {base_value:.3e} -> "
                   f"{cur[ident]:.3e} ({ratio:.1%} of baseline) {verdict}")
+        for ident in sorted(set(cur) - set(base)):
+            label = f"{name}:" + "/".join(str(p) for p in ident)
+            print(f"bench_compare: {label}: new row, no baseline yet, "
+                  f"skipping")
 
     m_compared, m_warnings, m_failures = compare_metrics(
         args.baseline, args.current, args.metrics_warn, args.metrics_fail)

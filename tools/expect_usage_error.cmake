@@ -1,0 +1,18 @@
+# Runs `TOOL FLAG VALUE` and fails unless the tool rejects the value with
+# its usage status (2) and names the flag on stderr — a crash, a silent
+# clamp or a vacuous PASS all fail. Used by the tier-1 CLI tests:
+#
+#   cmake -DTOOL=path -DFLAG=--frames -DVALUE=abc -P expect_usage_error.cmake
+execute_process(COMMAND ${TOOL} ${FLAG} ${VALUE}
+                RESULT_VARIABLE Status
+                OUTPUT_VARIABLE Out
+                ERROR_VARIABLE Err)
+if(NOT Status STREQUAL "2")
+  message(FATAL_ERROR "${TOOL} ${FLAG} '${VALUE}' exited with '${Status}', "
+                      "not the usage status 2\nstdout: ${Out}\nstderr: ${Err}")
+endif()
+string(FIND "${Err}" "${FLAG}" At)
+if(At EQUAL -1)
+  message(FATAL_ERROR "${TOOL} ${FLAG} '${VALUE}': stderr does not name "
+                      "the flag\nstderr: ${Err}")
+endif()

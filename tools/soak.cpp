@@ -18,6 +18,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Args.h"
 #include "support/Json.h"
 #include "support/Metrics.h"
 #include "traffic/Pcap.h"
@@ -39,6 +40,10 @@ using namespace b2::traffic;
 
 namespace {
 
+/// Ranges of the numeric flags.
+constexpr uint64_t MaxFrames = 10'000'000;
+constexpr uint64_t MaxThreads = 256;
+
 int usage(const char *Argv0) {
   std::fprintf(
       stderr,
@@ -48,20 +53,24 @@ int usage(const char *Argv0) {
       "          [--no-checkpoint] [--pcap-in PATH] [--pcap-out PATH]\n"
       "          [--report PATH] [--fault NAME] [--list-scenarios]\n"
       "\n"
-      "  --frames N        frames to generate (default 10000)\n"
-      "  --threads K       worker threads (default: hardware concurrency;\n"
-      "                    SOAK.json is bit-identical for every K)\n"
+      "  --frames N        frames to generate, 1..10000000 (default 10000)\n"
+      "  --threads K       worker threads, 1..256 (default: hardware\n"
+      "                    concurrency; SOAK.json is bit-identical for\n"
+      "                    every K)\n"
       "  --seed S          scenario seed (default 1)\n"
       "  --scenario NAME   workload family (default valid-mix;\n"
       "                    see --list-scenarios)\n"
       "  --core KIND       execution substrate (default pipelined)\n"
-      "  --engine MODE     ISA-simulator engine (--core isa only):\n"
-      "                    reference runs the uncached spec stepper,\n"
-      "                    block runs the superblock trace engine, diff\n"
-      "                    runs both in lockstep and fails on the first\n"
+      "  --engine MODE     engine of the isa and pipelined cores:\n"
+      "                    reference runs the reference semantics (the\n"
+      "                    ISA stepper, the pipeline's per-cycle tick),\n"
+      "                    block runs the fast engine (superblock traces,\n"
+      "                    the instruction-stepped pipeline), diff runs\n"
+      "                    both in lockstep and fails on the first\n"
       "                    divergence; SOAK.json is bit-identical across\n"
-      "                    all three (default block)\n"
-      "  --shards N        override the derived shard count\n"
+      "                    all three (default block; the spec core has\n"
+      "                    one engine)\n"
+      "  --shards N        override the derived shard count (1..10000000)\n"
       "  --cross-check     rerun every shard on a second substrate\n"
       "  --honor-schedule  deliver at recorded AtOp instead of\n"
       "                    backpressure injection (pcap replay fidelity)\n"
@@ -116,12 +125,22 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    uint64_t N = 0;
     if (Arg == "--frames" && I + 1 < Argc) {
-      Gen.Frames = std::strtoull(Argv[++I], nullptr, 10);
+      if (!support::parseNumericFlag("soak", "--frames", Argv[++I], 1,
+                                     MaxFrames, N))
+        return 2;
+      Gen.Frames = N;
     } else if (Arg == "--threads" && I + 1 < Argc) {
-      Options.Threads = unsigned(std::max(1, std::atoi(Argv[++I])));
+      if (!support::parseNumericFlag("soak", "--threads", Argv[++I], 1,
+                                     MaxThreads, N))
+        return 2;
+      Options.Threads = unsigned(N);
     } else if (Arg == "--seed" && I + 1 < Argc) {
-      Gen.Seed = std::strtoull(Argv[++I], nullptr, 10);
+      if (!support::parseNumericFlag("soak", "--seed", Argv[++I], 0,
+                                     UINT64_MAX, N))
+        return 2;
+      Gen.Seed = N;
     } else if (Arg == "--scenario" && I + 1 < Argc) {
       Scenario = Argv[++I];
       if (!isScenario(Scenario)) {
@@ -152,7 +171,10 @@ int main(int Argc, char **Argv) {
         return 2;
       }
     } else if (Arg == "--shards" && I + 1 < Argc) {
-      Options.Shards = unsigned(std::max(1, std::atoi(Argv[++I])));
+      if (!support::parseNumericFlag("soak", "--shards", Argv[++I], 1,
+                                     MaxFrames, N))
+        return 2;
+      Options.Shards = unsigned(N);
     } else if (Arg == "--cross-check") {
       Options.CrossCheck = true;
     } else if (Arg == "--honor-schedule") {
@@ -253,7 +275,7 @@ int main(int Argc, char **Argv) {
   // Wall-clock throughput goes to stdout only; SOAK.json stays
   // deterministic.
   std::string CoreDesc = soakCoreName(Options.Core);
-  if (Options.Core == SoakCore::IsaSim)
+  if (Options.Core != SoakCore::SpecCore)
     CoreDesc += std::string("/") + riscv::execModeName(Options.SimExec);
   std::printf("soak: core %s, %zu shards, %u threads: %llu frames, "
               "%llu Mcycles, %.1f s (%.0f frames/s)\n",

@@ -106,6 +106,19 @@ class TestThroughputGuard(CompareHarness):
         self.assertEqual(rc, 0)
         self.assertIn("skipping", out)
 
+    def test_new_substrate_row_skips(self):
+        # A substrate the baseline predates (e.g. pipelined_fast) is
+        # reported and skipped, never failed.
+        self.put(self.baseline, "BENCH_sim.json", sim_bench(100e6))
+        cur = sim_bench(100e6)
+        cur["kernels"].append({"kernel": "firmware_e2e",
+                               "substrate": "pipelined_fast",
+                               "instr_per_sec": 40e6})
+        self.put(self.current, "BENCH_sim.json", cur)
+        rc, out, _ = self.run_compare()
+        self.assertEqual(rc, 0)
+        self.assertIn("firmware_e2e/pipelined_fast: new row", out)
+
     def test_removed_row_skips(self):
         base = sim_bench(100e6)
         base["kernels"].append({"kernel": "gone", "substrate": "x",

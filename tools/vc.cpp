@@ -27,6 +27,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "app/Firmware.h"
+#include "support/Args.h"
 #include "support/Json.h"
 #include "support/Metrics.h"
 #include "vc/Corpus.h"
@@ -93,6 +94,7 @@ int main(int Argc, char **Argv) {
 
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    uint64_t N = 0;
     if (Arg == "--program" && I + 1 < Argc) {
       Which = Argv[++I];
       if (Which != "firmware" && Which != "examples" && Which != "all") {
@@ -105,21 +107,23 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--func" && I + 1 < Argc) {
       OnlyFunc = Argv[++I];
     } else if (Arg == "--budget" && I + 1 < Argc) {
-      Opts.Solve.ConflictBudget = uint64_t(std::atoll(Argv[++I]));
-    } else if (Arg == "--unroll" && I + 1 < Argc) {
-      Opts.Wp.UnrollBound = unsigned(std::max(1, std::atoi(Argv[++I])));
-    } else if (Arg == "--probes" && I + 1 < Argc) {
-      Opts.Probes = unsigned(std::max(0, std::atoi(Argv[++I])));
-    } else if (Arg == "--threads" && I + 1 < Argc) {
-      int T = std::atoi(Argv[++I]);
-      if (T < 1 || T > 256) {
-        std::fprintf(stderr,
-                     "vc: --threads wants a count between 1 and 256, got "
-                     "'%s'\n",
-                     Argv[I]);
+      if (!support::parseNumericFlag("vc", "--budget", Argv[++I], 1,
+                                     UINT64_MAX, N))
         return 2;
-      }
-      Opts.Discharge.Threads = unsigned(T);
+      Opts.Solve.ConflictBudget = N;
+    } else if (Arg == "--unroll" && I + 1 < Argc) {
+      if (!support::parseNumericFlag("vc", "--unroll", Argv[++I], 1, 1024, N))
+        return 2;
+      Opts.Wp.UnrollBound = unsigned(N);
+    } else if (Arg == "--probes" && I + 1 < Argc) {
+      if (!support::parseNumericFlag("vc", "--probes", Argv[++I], 0,
+                                     1'000'000, N))
+        return 2;
+      Opts.Probes = unsigned(N);
+    } else if (Arg == "--threads" && I + 1 < Argc) {
+      if (!support::parseNumericFlag("vc", "--threads", Argv[++I], 1, 256, N))
+        return 2;
+      Opts.Discharge.Threads = unsigned(N);
     } else if (Arg == "--no-cache") {
       Opts.Discharge.Cache = false;
     } else if (Arg == "--no-slice") {
