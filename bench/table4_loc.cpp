@@ -39,7 +39,8 @@ int main() {
        {"tests/test_app.cpp", "tests/test_endtoend.cpp"},
        "10.1 (imagined: 1.9)"},
       {"program logic (source semantics)",
-       {"src/bedrock2/Semantics.cpp", "src/bedrock2/Ast.cpp"},
+       {"src/bedrock2/Semantics.cpp", "src/bedrock2/Ast.cpp",
+        "src/bedrock2/Bytecode.cpp", "src/bedrock2/Bytecode.h"},
        {"src/bedrock2/Semantics.h", "src/bedrock2/Ast.h",
         "src/bedrock2/ExtSpec.h"},
        {},

@@ -172,7 +172,6 @@ StmtPtr Stmt::interact(std::vector<std::string> Dsts, std::string Action,
 }
 
 StmtPtr Stmt::stackalloc(std::string Var, Word NBytes, StmtPtr Body) {
-  assert(NBytes % 4 == 0 && "stackalloc size must be a multiple of 4");
   auto S = std::make_shared<Stmt>();
   S->K = Kind::Stackalloc;
   S->Var = std::move(Var);

@@ -165,6 +165,9 @@ struct Stmt {
                       std::vector<ExprPtr> Args);
   static StmtPtr interact(std::vector<std::string> Dsts, std::string Action,
                           std::vector<ExprPtr> Args);
+  /// Any \p NBytes is accepted; a size that is 0 or not a multiple of 4
+  /// faults with Fault::StackallocMisuse when the statement runs (the
+  /// parser rejects such a literal with the same rule).
   static StmtPtr stackalloc(std::string Var, Word NBytes, StmtPtr Body);
 };
 

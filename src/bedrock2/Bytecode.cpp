@@ -23,70 +23,14 @@ using namespace b2;
 using namespace b2::bedrock2;
 using namespace b2::support;
 
-// Token-threaded dispatch (GNU labels-as-values) when available; define
-// B2_BC_NO_THREADED_DISPATCH to force the portable switch loop (useful
-// for differential-benchmarking the dispatch strategy itself).
-#if defined(__GNUC__) && !defined(B2_BC_NO_THREADED_DISPATCH)
+// Token-threaded dispatch (GNU labels-as-values) when available, else the
+// portable switch loop.
+#if defined(__GNUC__)
 #define B2_BC_THREADED 1
+#define B2_UNLIKELY(X) __builtin_expect(!!(X), 0)
 #else
 #define B2_BC_THREADED 0
-#endif
-
-#if defined(__GNUC__)
-#define B2_UNLIKELY(X) __builtin_expect(!!(X), 0)
-#define B2_LIKELY(X) __builtin_expect(!!(X), 1)
-#else
 #define B2_UNLIKELY(X) (X)
-#define B2_LIKELY(X) (X)
-#endif
-
-// Dev tooling: -DB2_BC_PROFILE_OPS dumps a dynamic opcode histogram at
-// process exit — the data that decides which superinstructions are worth
-// adding. Off in normal builds (the counter write would pollute timings).
-#if defined(B2_BC_PROFILE_OPS)
-#include <cstdio>
-namespace {
-uint64_t OpCount[128];
-struct OpCountDumper {
-  ~OpCountDumper() {
-    static const char *const Names[] = {
-#define B2_BC_OP_NAME(N) #N,
-        B2_BC_OP_LIST(B2_BC_OP_NAME)
-#undef B2_BC_OP_NAME
-    };
-    for (size_t I = 0; I != sizeof(Names) / sizeof(Names[0]); ++I)
-      if (OpCount[I])
-        std::fprintf(stderr, "%-16s %12llu\n", Names[I],
-                     (unsigned long long)OpCount[I]);
-  }
-} OpCountAtExit;
-} // namespace
-uint64_t DigramCount[128][128];
-struct DigramDumper {
-  ~DigramDumper() {
-    static const char *const Names[] = {
-#define B2_BC_OP_NAME(N) #N,
-        B2_BC_OP_LIST(B2_BC_OP_NAME)
-#undef B2_BC_OP_NAME
-    };
-    const size_t N = sizeof(Names) / sizeof(Names[0]);
-    for (size_t A = 0; A != N; ++A)
-      for (size_t B = 0; B != N; ++B)
-        if (DigramCount[A][B] > 100000)
-          std::fprintf(stderr, "PAIR %-16s %-16s %12llu\n", Names[A],
-                       Names[B], (unsigned long long)DigramCount[A][B]);
-  }
-} DigramAtExit;
-#define B2_COUNT_OP                                                          \
-  do {                                                                       \
-    ++OpCount[size_t(I->K)];                                                 \
-    ++DigramCount[PrevOp][size_t(I->K)];                                     \
-    PrevOp = size_t(I->K);                                                   \
-  } while (0)
-#define B2_PREV_DECL size_t PrevOp = 127;
-#else
-#define B2_PREV_DECL
-#define B2_COUNT_OP ((void)0)
 #endif
 
 // -- Compilation ---------------------------------------------------------------
@@ -213,43 +157,21 @@ private:
     metrics::add(metrics::Id::InterpCompileInsnsOut, BF.Code.size());
   }
 
-  /// True when \p I transfers control to \p I.Arg (so Arg is a code
-  /// index that target-marking and remapping must honor).
-  static bool isJumpy(const bc::Insn &I) {
-    switch (I.K) {
-    case bc::Op::Jump:
-    case bc::Op::JumpIfZero:
-    case bc::Op::StepLoopJump:
-    case bc::Op::StepIncLoopJump:
-    case bc::Op::BrVZStepN:
-    case bc::Op::StepNBrVZ:
-    case bc::Op::BrVZ:
-    case bc::Op::BrVVZ:
-    case bc::Op::BrVIZ:
-    case bc::Op::BrSIZ:
-    case bc::Op::BrSVZ:
-    case bc::Op::BrSSZ:
-      return true;
-    default:
-      return false;
-    }
-  }
-
-  using FuseFn = size_t (*)(const std::vector<bc::Insn> &,
-                            const std::vector<uint8_t> &, size_t,
-                            std::vector<bc::Insn> &);
-
-  /// One peephole rewrite over \p BF: \p Fn emits the (possibly fused)
-  /// replacement for each source position and says how many instructions
-  /// it consumed; jump arguments are remapped afterwards. \p Fn only
-  /// fuses when no interior instruction of the pattern is a jump target
+  /// The peephole pass: each source position emits its (possibly fused)
+  /// replacement through fuseAt, which says how many instructions it
+  /// consumed; jump arguments are remapped afterwards. fuseAt only fuses
+  /// when no interior instruction of the pattern is a jump target
   /// (targets always land on statement or loop-head boundaries, so in
-  /// practice every pattern is eligible).
-  static void rewrite(BcFunction &BF, FuseFn Fn) {
+  /// practice every pattern is eligible). Fusion never increases
+  /// operand-stack depth, so MaxStack stays a valid bound.
+  static void fuse(BcFunction &BF) {
+    auto IsJump = [](const bc::Insn &I) {
+      return I.K == bc::Op::Jump || I.K == bc::Op::JumpIfZero;
+    };
     const std::vector<bc::Insn> Old = std::move(BF.Code);
     std::vector<uint8_t> IsTarget(Old.size() + 1, 0);
     for (const bc::Insn &I : Old)
-      if (isJumpy(I))
+      if (IsJump(I))
         IsTarget[I.Arg] = 1;
     std::vector<bc::Insn> New;
     New.reserve(Old.size());
@@ -258,62 +180,18 @@ private:
     size_t Pc = 0;
     while (Pc < Old.size()) {
       Map[Pc] = uint32_t(New.size());
-      size_t Consumed = Fn(Old, IsTarget, Pc, New);
+      size_t Consumed = fuseAt(Old, IsTarget, Pc, New);
       Fused += Consumed > 1;
       Pc += Consumed;
     }
     Map[Old.size()] = uint32_t(New.size());
     metrics::add(metrics::Id::InterpFuseHits, Fused);
     for (bc::Insn &I : New)
-      if (isJumpy(I)) {
+      if (IsJump(I)) {
         assert(Map[I.Arg] != ~uint32_t(0) && "jump into a fused pattern");
         I.Arg = Map[I.Arg];
       }
     BF.Code = std::move(New);
-  }
-
-  /// Peephole passes, each over the previous one's output: the
-  /// expression/assignment superinstructions, then the expression combos
-  /// they expose, then fuel-charge and branch fusion, then charge-run
-  /// and loop-latch collapsing, then constant-assignment pairing, and
-  /// finally in-place loop-head inlining (each pass's patterns only
-  /// exist after the one before). Fusion never increases operand-stack
-  /// depth, so MaxStack stays a valid bound.
-  static void fuse(BcFunction &BF) {
-    rewrite(BF, fuseAt);
-    rewrite(BF, fuseAtExpr);
-    rewrite(BF, fuseAt2);
-    rewrite(BF, fuseAt3);
-    rewrite(BF, fuseAt4);
-    fuseLoopHeads(BF);
-  }
-
-  /// Final pass: inline the loop-head test into each backedge. When a
-  /// StepIncLoopJump's target is a BrVZStepN over the same slot (the
-  /// canonical "while (i) { ...; i = i op k }") and the head's exit is
-  /// the latch's own fall-through — which is how compileStmt lays loops
-  /// out — the latch can run the test itself and skip the bounce through
-  /// the head: jump straight to the body on nonzero (charging the body's
-  /// run), fall through to the exit on zero. The counter was just
-  /// written, so the head's unbound check cannot fire. The head insn
-  /// stays in place for the loop-entry path. This is a pure 1:1
-  /// substitution — no instruction moves — so the packed Arg
-  /// (charges << 24 | body target) needs no remapping, which is also why
-  /// this cannot be a rewrite() pass.
-  static void fuseLoopHeads(BcFunction &BF) {
-    std::vector<bc::Insn> &C = BF.Code;
-    for (size_t P = 0; P + 1 < C.size(); ++P) {
-      bc::Insn &L = C[P];
-      if (L.K != bc::Op::StepIncLoopJump)
-        continue;
-      const bc::Insn &H = C[L.Arg];
-      if (H.K != bc::Op::BrVZStepN || H.A != L.A || H.Arg != P + 1 ||
-          H.Imm > 0xFF || L.Arg + 1 > 0xFFFFFF)
-        continue;
-      L.K = bc::Op::IncLoopBrNZ;
-      L.Arg = uint32_t(H.Imm << 24 | (L.Arg + 1));
-      metrics::add(metrics::Id::InterpFuseLoopHeads);
-    }
   }
 
   /// Emits the (possibly fused) replacement for the sequence starting at
@@ -399,270 +277,6 @@ private:
       return 2;
     } else if (A.K == Op::LoadMem && B && B->K == Op::SetVar) {
       New.push_back({Op::LoadS, A.U8, B->A, 0, 0, 0});
-      return 2;
-    }
-    New.push_back(A);
-    return 1;
-  }
-
-  /// Second pass: expression combos over the first pass's output. The
-  /// patterns come from dynamic digram profiling (B2_BC_PROFILE_OPS) of
-  /// the random-program corpus; each packs two BinOp/size nibbles into
-  /// U8 (BinOp tops out at 14 and access sizes at 4, so both always
-  /// fit) and preserves the source evaluation order of every check and
-  /// division-by-zero count.
-  static size_t fuseAtExpr(const std::vector<bc::Insn> &Old,
-                           const std::vector<uint8_t> &IsTarget, size_t Pc,
-                           std::vector<bc::Insn> &New) {
-    using bc::Op;
-    const bc::Insn &A = Old[Pc];
-    const bc::Insn *B =
-        (Pc + 1 < Old.size() && !IsTarget[Pc + 1]) ? &Old[Pc + 1] : nullptr;
-    if (B) {
-      if (A.K == Op::BinopSI && B->K == Op::Binop) {
-        New.push_back(
-            {Op::FoldSI, uint8_t(A.U8 | B->U8 << 4), 0, 0, 0, A.Imm});
-        return 2;
-      }
-      if (A.K == Op::BinopVV && B->K == Op::Binop) {
-        New.push_back(
-            {Op::FoldVV, uint8_t(A.U8 | B->U8 << 4), A.A, A.Arg, A.Str,
-             A.Imm});
-        return 2;
-      }
-      if (A.K == Op::BinopVI && B->K == Op::Binop) {
-        New.push_back(
-            {Op::FoldVI, uint8_t(A.U8 | B->U8 << 4), A.A, 0, A.Str,
-             A.Imm});
-        return 2;
-      }
-      if (A.K == Op::BinopVI && B->K == Op::LoadMem) {
-        New.push_back(
-            {Op::BinopVILoad, uint8_t(A.U8 | B->U8 << 4), A.A, 0, A.Str,
-             A.Imm});
-        return 2;
-      }
-      if (A.K == Op::Binop && B->K == Op::LoadMem) {
-        New.push_back(
-            {Op::BinopLoad, uint8_t(A.U8 | B->U8 << 4), 0, 0, 0, 0});
-        return 2;
-      }
-      if (A.K == Op::PushVar && B->K == Op::PushLit) {
-        New.push_back({Op::Push2VL, 0, A.A, 0, A.Str, B->Imm});
-        return 2;
-      }
-    }
-    New.push_back(A);
-    return 1;
-  }
-
-  /// Third peephole pass, over the output of the second. Two families:
-  ///
-  ///  * StepStmt + X  ->  StepX, and StepLoop + Jump -> StepLoopJump:
-  ///    the per-statement (or per-iteration) fuel charge is absorbed
-  ///    into the following instruction. The charge still happens before
-  ///    anything else that instruction does, with the identical fault
-  ///    detail, so fuel exhaustion is observed at exactly the same
-  ///    point with the same StepsUsed.
-  ///
-  ///  * X + JumpIfZero  ->  BrXZ for the value-producing ops that end
-  ///    loop conditions and if tests: the condition result feeds the
-  ///    branch directly instead of bouncing through the operand stack.
-  ///    BrVVZ needs four operand fields, so the rhs slot and its
-  ///    unbound-detail string share Imm; it is only produced when both
-  ///    fit in 16 bits (they always do in practice — slots are 16-bit
-  ///    by construction and string interning starts from zero).
-  static size_t fuseAt2(const std::vector<bc::Insn> &Old,
-                        const std::vector<uint8_t> &IsTarget, size_t Pc,
-                        std::vector<bc::Insn> &New) {
-    using bc::Op;
-    const bc::Insn &A = Old[Pc];
-    const bc::Insn *B =
-        (Pc + 1 < Old.size() && !IsTarget[Pc + 1]) ? &Old[Pc + 1] : nullptr;
-    if (B && A.K == Op::StepStmt) {
-      Op Stepped = Op::StepStmt;
-      switch (B->K) {
-      case Op::PushLit:    Stepped = Op::StepPushLit; break;
-      case Op::PushVar:    Stepped = Op::StepPushVar; break;
-      case Op::SetLit:     Stepped = Op::StepSetLit; break;
-      case Op::MoveVar:    Stepped = Op::StepMoveVar; break;
-      case Op::BinopVV:    Stepped = Op::StepBinopVV; break;
-      case Op::BinopVVS:   Stepped = Op::StepBinopVVS; break;
-      case Op::BinopVI:    Stepped = Op::StepBinopVI; break;
-      case Op::BinopVIS:   Stepped = Op::StepBinopVIS; break;
-      case Op::LoadV:      Stepped = Op::StepLoadV; break;
-      case Op::LoadVS:     Stepped = Op::StepLoadVS; break;
-      case Op::StoreVV:    Stepped = Op::StepStoreVV; break;
-      case Op::StoreVI:    Stepped = Op::StepStoreVI; break;
-      case Op::EnterAlloc: Stepped = Op::StepEnterAlloc; break;
-      case Op::CallBind:   Stepped = Op::StepCallBind; break;
-      case Op::Push2VL:    Stepped = Op::StepPush2VL; break;
-      default: break;
-      }
-      if (Stepped != Op::StepStmt) {
-        bc::Insn Fused = *B;
-        Fused.K = Stepped;
-        New.push_back(Fused);
-        return 2;
-      }
-    }
-    if (B && A.K == Op::StepLoop && B->K == Op::Jump) {
-      New.push_back({Op::StepLoopJump, 0, 0, B->Arg, 0, 0});
-      return 2;
-    }
-    if (B && B->K == Op::JumpIfZero) {
-      switch (A.K) {
-      case Op::PushVar:
-        New.push_back({Op::BrVZ, 0, A.A, B->Arg, A.Str, 0});
-        return 2;
-      case Op::BinopVV:
-        if (A.Imm <= 0xFFFF && A.Arg <= 0xFFFF) {
-          New.push_back(
-              {Op::BrVVZ, A.U8, A.A, B->Arg, A.Str, A.Imm << 16 | A.Arg});
-          return 2;
-        }
-        break;
-      case Op::BinopVI:
-        New.push_back({Op::BrVIZ, A.U8, A.A, B->Arg, A.Str, A.Imm});
-        return 2;
-      case Op::BinopSI:
-        New.push_back({Op::BrSIZ, A.U8, 0, B->Arg, 0, A.Imm});
-        return 2;
-      case Op::BinopSV:
-        New.push_back({Op::BrSVZ, A.U8, A.A, B->Arg, A.Str, 0});
-        return 2;
-      case Op::Binop:
-        New.push_back({Op::BrSSZ, A.U8, 0, B->Arg, 0, 0});
-        return 2;
-      default:
-        break;
-      }
-    }
-    New.push_back(A);
-    return 1;
-  }
-
-  /// True for the Step<X> ops whose U8 high nibble is free to carry a
-  /// preceding charge-run count (all of them — see Bytecode.h).
-  static bool isStepTarget(bc::Op K) {
-    switch (K) {
-    case bc::Op::StepPushLit:
-    case bc::Op::StepPushVar:
-    case bc::Op::StepSetLit:
-    case bc::Op::StepMoveVar:
-    case bc::Op::StepBinopVV:
-    case bc::Op::StepBinopVVS:
-    case bc::Op::StepBinopVI:
-    case bc::Op::StepBinopVIS:
-    case bc::Op::StepLoadV:
-    case bc::Op::StepLoadVS:
-    case bc::Op::StepStoreVV:
-    case bc::Op::StepStoreVI:
-    case bc::Op::StepEnterAlloc:
-    case bc::Op::StepCallBind:
-    case bc::Op::StepPush2VL:
-      return true;
-    default:
-      return false;
-    }
-  }
-
-  /// Fourth peephole pass, collapsing patterns that only exist in the
-  /// third pass's output. The recurring theme is runs of consecutive
-  /// StepStmt charges: nested Seq nodes each charge on entry, and
-  /// fuel-charge fusion has already pulled every charge it can into its
-  /// statement's first real op, so what remains before each statement is
-  /// a pure charge run. Charging a run of m at once is exact: the walker
-  /// stops charging exactly when the budget hits the limit (identical
-  /// StepsUsed) and every charge in the run shares the one detail
-  /// string. A run is absorbed, in order of preference, into
-  ///
-  ///  * a following Step<X> (count in U8's high nibble, so m <= 15),
-  ///    including the StepBinopVIS + StepLoopJump loop-latch pair, which
-  ///    becomes StepIncLoopJump;
-  ///  * a following BrVZ — an if test after its enclosing Seq charges —
-  ///    as StepNBrVZ (count in Imm);
-  ///  * a bare StepN when nothing fusable follows and m >= 2.
-  ///
-  /// Independently, a BrVZ falling through into a charge run (a loop
-  /// head or if test entering its body) becomes BrVZStepN: branch on
-  /// zero with no charge, else charge the run.
-  static size_t fuseAt3(const std::vector<bc::Insn> &Old,
-                        const std::vector<uint8_t> &IsTarget, size_t Pc,
-                        std::vector<bc::Insn> &New) {
-    using bc::Op;
-    const bc::Insn &A = Old[Pc];
-    auto Free = [&](size_t K) {
-      return Pc + K < Old.size() && !IsTarget[Pc + K];
-    };
-    // The "i = i op k" latch: StepBinopVIS whose destination is its own
-    // lhs slot, followed by the backedge.
-    auto IsLatch = [&](size_t At) {
-      return Old[At].K == Op::StepBinopVIS &&
-             uint16_t(Old[At].Arg) == Old[At].A && At + 1 < Old.size() &&
-             !IsTarget[At + 1] && Old[At + 1].K == Op::StepLoopJump;
-    };
-    if (A.K == Op::BrVZ) {
-      size_t M = 0;
-      while (M < 0xFFFF && Free(1 + M) && Old[Pc + 1 + M].K == Op::StepStmt)
-        ++M;
-      if (M >= 1) {
-        New.push_back({Op::BrVZStepN, 0, A.A, A.Arg, A.Str, Word(M)});
-        return 1 + M;
-      }
-    }
-    if (A.K == Op::StepStmt) {
-      size_t M = 1;
-      while (M < 0xFFFF && Free(M) && Old[Pc + M].K == Op::StepStmt)
-        ++M;
-      if (M < 0xFFFF && Free(M)) {
-        const bc::Insn &T = Old[Pc + M];
-        if (T.K == Op::BrVZ) {
-          New.push_back({Op::StepNBrVZ, 0, T.A, T.Arg, T.Str, Word(M)});
-          return M + 1;
-        }
-        if (M <= 15) {
-          if (IsLatch(Pc + M)) {
-            New.push_back({Op::StepIncLoopJump, uint8_t(T.U8 | M << 4),
-                           T.A, Old[Pc + M + 1].Arg, T.Str, T.Imm});
-            return M + 2;
-          }
-          if (isStepTarget(T.K)) {
-            bc::Insn F = T;
-            F.U8 = uint8_t(F.U8 | M << 4);
-            New.push_back(F);
-            return M + 1;
-          }
-        }
-      }
-      if (M >= 2) {
-        New.push_back({Op::StepN, 0, uint16_t(M), 0, 0, 0});
-        return M;
-      }
-    }
-    if (IsLatch(Pc)) {
-      New.push_back(
-          {Op::StepIncLoopJump, A.U8, A.A, Old[Pc + 1].Arg, A.Str, A.Imm});
-      return 2;
-    }
-    New.push_back(A);
-    return 1;
-  }
-
-  /// Fifth pass: consecutive constant assignments — whose charge counts
-  /// the fourth pass already folded into U8's high nibble — collapse
-  /// into one StepSet2Lit. The second literal rides in Str (SetLit has
-  /// no fault detail) and the second charge count in Arg's high half.
-  static size_t fuseAt4(const std::vector<bc::Insn> &Old,
-                        const std::vector<uint8_t> &IsTarget, size_t Pc,
-                        std::vector<bc::Insn> &New) {
-    using bc::Op;
-    const bc::Insn &A = Old[Pc];
-    if (A.K == Op::StepSetLit && Pc + 1 < Old.size() && !IsTarget[Pc + 1] &&
-        Old[Pc + 1].K == Op::StepSetLit) {
-      const bc::Insn &B = Old[Pc + 1];
-      New.push_back({Op::StepSet2Lit, A.U8, A.A,
-                     uint32_t(B.U8 >> 4) << 16 | B.A, B.Imm, A.Imm});
       return 2;
     }
     New.push_back(A);
@@ -958,7 +572,6 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
   bool Ok = true;
   uint32_t Pc = 0;
   const bc::Insn *I;
-  B2_PREV_DECL
 
   // Dispatch. On GNU-compatible compilers each handler ends by jumping
   // through a label table indexed by the next opcode (token-threaded
@@ -966,8 +579,7 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
   // branch predictor learns per-opcode successor patterns instead of
   // sharing one mispredicting switch branch. The portable fallback is
   // the same handlers inside a switch. Both variants share one handler
-  // body via these macros; Step* fuel-charge variants charge and then
-  // jump into the plain op's body.
+  // body via these macros.
 #define B2_FAULT(KIND, DETAIL)                                               \
   do {                                                                       \
     Ok = fault(Fault::KIND, DETAIL);                                         \
@@ -979,18 +591,6 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
       B2_FAULT(OutOfFuel, DETAIL);                                           \
     ++Steps;                                                                 \
   } while (0)
-// Step<X> statement charge: 1 plus the preceding-run count in U8's high
-// nibble. Pinning Steps to the limit on exhaustion matches the walker,
-// which charges one at a time and stops exactly at the limit.
-#define B2_STEP_CHARGE                                                       \
-  do {                                                                       \
-    const uint64_t NCh = 1 + uint64_t(I->U8 >> 4);                           \
-    if (B2_UNLIKELY(Steps + NCh > FuelLim)) {                                \
-      Steps = FuelLim;                                                       \
-      B2_FAULT(OutOfFuel, "statement budget exhausted");                     \
-    }                                                                        \
-    Steps += NCh;                                                            \
-  } while (0)
 #if B2_BC_THREADED
 #define B2_BC_LABEL(N) &&Op_##N,
   static const void *const JT[] = {B2_BC_OP_LIST(B2_BC_LABEL)};
@@ -999,7 +599,6 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
 #define B2_NEXT                                                              \
   do {                                                                       \
     I = &Code[Pc++];                                                         \
-    B2_COUNT_OP;                                                             \
     goto *JT[size_t(I->K)];                                                  \
   } while (0)
   B2_NEXT;
@@ -1008,23 +607,14 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
 #define B2_NEXT continue
   for (;;) {
     I = &Code[Pc++];
-    B2_COUNT_OP;
     switch (I->K) {
 #endif
 
-  B2_OP(StepPushLit)
-    B2_STEP_CHARGE;
-    goto Body_PushLit;
   B2_OP(PushLit)
-  Body_PushLit:
     *Sp++ = I->Imm;
     B2_NEXT;
 
-  B2_OP(StepPushVar)
-    B2_STEP_CHARGE;
-    goto Body_PushVar;
   B2_OP(PushVar)
-  Body_PushVar:
     if (B2_UNLIKELY(!Bd[I->A]))
       B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
     *Sp++ = Sl[I->A];
@@ -1083,104 +673,6 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
     B2_CHARGE(BP.Strings[I->Str]);
     B2_NEXT;
 
-  B2_OP(StepN)
-    // A consecutive statement charges at once. On exhaustion mid-run the
-    // walker has charged exactly up to the limit before faulting, so
-    // StepsUsed pins to FuelLim either way.
-    if (B2_UNLIKELY(Steps + I->A > FuelLim)) {
-      Steps = FuelLim;
-      B2_FAULT(OutOfFuel, "statement budget exhausted");
-    }
-    Steps += I->A;
-    B2_NEXT;
-
-  B2_OP(StepLoopJump)
-    B2_CHARGE("loop budget exhausted");
-    Pc = I->Arg;
-    B2_NEXT;
-
-  B2_OP(BrVZStepN)
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    if ((Sl[I->A] == 0) != fi::on(fi::Fault::BcBrVZInverted)) {
-      Pc = I->Arg;
-    } else {
-      // Fall-through enters the body: Imm statement charges (StepN).
-      if (B2_UNLIKELY(Steps + I->Imm > FuelLim)) {
-        Steps = FuelLim;
-        B2_FAULT(OutOfFuel, "statement budget exhausted");
-      }
-      Steps += I->Imm;
-    }
-    B2_NEXT;
-
-  B2_OP(StepNBrVZ)
-    if (B2_UNLIKELY(Steps + I->Imm > FuelLim)) {
-      Steps = FuelLim;
-      B2_FAULT(OutOfFuel, "statement budget exhausted");
-    }
-    Steps += I->Imm;
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    if ((Sl[I->A] == 0) != fi::on(fi::Fault::BcBrVZInverted))
-      Pc = I->Arg;
-    B2_NEXT;
-
-  B2_OP(StepIncLoopJump)
-    // "i = i op k" latch plus backedge: statement charge(s), the update
-    // (dst == lhs slot, so one bound check covers both), loop charge,
-    // jump — in the walker's exact order.
-    B2_STEP_CHARGE;
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    {
-      const BinOp O = BinOp(I->U8 & 0xF);
-      if (B2_LIKELY(O == BinOp::Add) ||
-          fi::on(fi::Fault::BcLatchOpAsAdd)) { // Counting latches dominate.
-        Sl[I->A] += I->Imm;
-      } else {
-        if ((O == BinOp::Divu || O == BinOp::Remu) && I->Imm == 0)
-          ++R.DivByZeroCount;
-        Sl[I->A] = evalBinOp(O, Sl[I->A], I->Imm);
-      }
-    }
-    B2_CHARGE("loop budget exhausted");
-    Pc = I->Arg;
-    B2_NEXT;
-
-  B2_OP(IncLoopBrNZ)
-    // StepIncLoopJump plus the head test it jumps to (same slot; the
-    // head's unbound check cannot fire — the counter was just written).
-    // Nonzero: charge the body-entry run and enter the body. Zero: fall
-    // through, which is the loop exit.
-    B2_STEP_CHARGE;
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    {
-      const BinOp O = BinOp(I->U8 & 0xF);
-      if (B2_LIKELY(O == BinOp::Add) ||
-          fi::on(fi::Fault::BcLatchOpAsAdd)) { // Counting latches dominate.
-        Sl[I->A] += I->Imm;
-      } else {
-        if ((O == BinOp::Divu || O == BinOp::Remu) && I->Imm == 0)
-          ++R.DivByZeroCount;
-        Sl[I->A] = evalBinOp(O, Sl[I->A], I->Imm);
-      }
-    }
-    B2_CHARGE("loop budget exhausted");
-    if (Sl[I->A] != 0) {
-      uint64_t NB = I->Arg >> 24;
-      if (NB > 0 && fi::on(fi::Fault::BcLoopChargeMiscount))
-        --NB; // Seeded bug: body entry charged one statement short.
-      if (B2_UNLIKELY(Steps + NB > FuelLim)) {
-        Steps = FuelLim;
-        B2_FAULT(OutOfFuel, "statement budget exhausted");
-      }
-      Steps += NB;
-      Pc = I->Arg & 0xFFFFFF;
-    }
-    B2_NEXT;
-
   B2_OP(CheckInv)
     if (B2_UNLIKELY(*--Sp == 0))
       B2_FAULT(InvariantViolated, BP.Strings[I->Str]);
@@ -1202,11 +694,7 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
     B2_NEXT;
   }
 
-  B2_OP(StepCallBind)
-    B2_STEP_CHARGE;
-    goto Body_CallBind;
-  B2_OP(CallBind)
-  Body_CallBind: {
+  B2_OP(CallBind) {
     const bc::CallSite &Site = BP.Calls[I->Arg];
     const BcFunction &CF = BP.Funcs[Site.Fn];
     const size_t CalleeBase = size_t(Sp - Stack.data()) - CF.NumParams;
@@ -1268,11 +756,7 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
     B2_NEXT;
   }
 
-  B2_OP(StepEnterAlloc)
-    B2_STEP_CHARGE;
-    goto Body_EnterAlloc;
-  B2_OP(EnterAlloc)
-  Body_EnterAlloc: {
+  B2_OP(EnterAlloc) {
     const bc::AllocSite &Site = BP.Allocs[I->Arg];
     StackNext -= Site.NBytes;
     const Word Addr = StackNext;
@@ -1315,20 +799,12 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
   B2_OP(Return)
     goto Exit;
 
-  B2_OP(StepSetLit)
-    B2_STEP_CHARGE;
-    goto Body_SetLit;
   B2_OP(SetLit)
-  Body_SetLit:
     Sl[I->A] = I->Imm;
     Bd[I->A] = 1;
     B2_NEXT;
 
-  B2_OP(StepMoveVar)
-    B2_STEP_CHARGE;
-    goto Body_MoveVar;
-  B2_OP(MoveVar)
-  Body_MoveVar: {
+  B2_OP(MoveVar) {
     if (B2_UNLIKELY(!Bd[I->A]))
       B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
     const uint16_t Dst = uint16_t(I->Arg);
@@ -1337,36 +813,28 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
     B2_NEXT;
   }
 
-  B2_OP(StepBinopVV)
-    B2_STEP_CHARGE;
-    goto Body_BinopVV;
-  B2_OP(BinopVV)
-  Body_BinopVV: {
+  B2_OP(BinopVV) {
     if (B2_UNLIKELY(!Bd[I->A]))
       B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
     const uint16_t BSlot = uint16_t(I->Arg);
     if (B2_UNLIKELY(!Bd[BSlot]))
       B2_FAULT(UnboundVariable, BP.Strings[I->Imm]);
     const Word BV = Sl[BSlot];
-    const BinOp O = BinOp(I->U8 & 0xF);
+    const BinOp O = BinOp(I->U8);
     if ((O == BinOp::Divu || O == BinOp::Remu) && BV == 0)
       ++R.DivByZeroCount;
     *Sp++ = evalBinOp(O, Sl[I->A], BV);
     B2_NEXT;
   }
 
-  B2_OP(StepBinopVVS)
-    B2_STEP_CHARGE;
-    goto Body_BinopVVS;
-  B2_OP(BinopVVS)
-  Body_BinopVVS: {
+  B2_OP(BinopVVS) {
     if (B2_UNLIKELY(!Bd[I->A]))
       B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
     const uint16_t BSlot = uint16_t(I->Arg);
     if (B2_UNLIKELY(!Bd[BSlot]))
       B2_FAULT(UnboundVariable, BP.Strings[I->Imm]);
     const Word BV = Sl[BSlot];
-    const BinOp O = BinOp(I->U8 & 0xF);
+    const BinOp O = BinOp(I->U8);
     if ((O == BinOp::Divu || O == BinOp::Remu) && BV == 0)
       ++R.DivByZeroCount;
     const uint16_t Dst = uint16_t(I->Arg >> 16);
@@ -1375,28 +843,20 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
     B2_NEXT;
   }
 
-  B2_OP(StepBinopVI)
-    B2_STEP_CHARGE;
-    goto Body_BinopVI;
-  B2_OP(BinopVI)
-  Body_BinopVI: {
+  B2_OP(BinopVI) {
     if (B2_UNLIKELY(!Bd[I->A]))
       B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const BinOp O = BinOp(I->U8 & 0xF);
+    const BinOp O = BinOp(I->U8);
     if ((O == BinOp::Divu || O == BinOp::Remu) && I->Imm == 0)
       ++R.DivByZeroCount;
     *Sp++ = evalBinOp(O, Sl[I->A], I->Imm);
     B2_NEXT;
   }
 
-  B2_OP(StepBinopVIS)
-    B2_STEP_CHARGE;
-    goto Body_BinopVIS;
-  B2_OP(BinopVIS)
-  Body_BinopVIS: {
+  B2_OP(BinopVIS) {
     if (B2_UNLIKELY(!Bd[I->A]))
       B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const BinOp O = BinOp(I->U8 & 0xF);
+    const BinOp O = BinOp(I->U8);
     if ((O == BinOp::Divu || O == BinOp::Remu) && I->Imm == 0)
       ++R.DivByZeroCount;
     const uint16_t Dst = uint16_t(I->Arg);
@@ -1411,113 +871,6 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
     if ((O == BinOp::Divu || O == BinOp::Remu) && I->Imm == 0)
       ++R.DivByZeroCount;
     *Sp++ = evalBinOp(O, AV, I->Imm);
-    B2_NEXT;
-  }
-
-  B2_OP(StepPush2VL)
-    B2_STEP_CHARGE;
-    goto Body_Push2VL;
-  B2_OP(Push2VL)
-  Body_Push2VL:
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    *Sp++ = Sl[I->A];
-    *Sp++ = I->Imm;
-    B2_NEXT;
-
-  B2_OP(FoldSI) {
-    // (pop op Imm), then fold that into the new top with op' — both
-    // division-by-zero counts in evaluation order.
-    const Word AV = *--Sp;
-    const BinOp OIn = BinOp(I->U8 & 0xF), OOut = BinOp(I->U8 >> 4);
-    if ((OIn == BinOp::Divu || OIn == BinOp::Remu) && I->Imm == 0)
-      ++R.DivByZeroCount;
-    const Word RV = evalBinOp(OIn, AV, I->Imm);
-    if ((OOut == BinOp::Divu || OOut == BinOp::Remu) && RV == 0)
-      ++R.DivByZeroCount;
-    Sp[-1] = evalBinOp(OOut, Sp[-1], RV);
-    B2_NEXT;
-  }
-
-  B2_OP(FoldVV) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const uint16_t BSlot = uint16_t(I->Arg);
-    if (B2_UNLIKELY(!Bd[BSlot]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Imm]);
-    const Word BV = Sl[BSlot];
-    const BinOp OIn = BinOp(I->U8 & 0xF), OOut = BinOp(I->U8 >> 4);
-    if ((OIn == BinOp::Divu || OIn == BinOp::Remu) && BV == 0)
-      ++R.DivByZeroCount;
-    const Word RV = evalBinOp(OIn, Sl[I->A], BV);
-    if ((OOut == BinOp::Divu || OOut == BinOp::Remu) && RV == 0)
-      ++R.DivByZeroCount;
-    Sp[-1] = evalBinOp(OOut, Sp[-1], RV);
-    B2_NEXT;
-  }
-
-  B2_OP(FoldVI) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const BinOp OIn = BinOp(I->U8 & 0xF), OOut = BinOp(I->U8 >> 4);
-    if ((OIn == BinOp::Divu || OIn == BinOp::Remu) && I->Imm == 0)
-      ++R.DivByZeroCount;
-    const Word RV = evalBinOp(OIn, Sl[I->A], I->Imm);
-    if ((OOut == BinOp::Divu || OOut == BinOp::Remu) && RV == 0)
-      ++R.DivByZeroCount;
-    Sp[-1] = evalBinOp(OOut, Sp[-1], RV);
-    B2_NEXT;
-  }
-
-  B2_OP(BinopVILoad) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const BinOp O = BinOp(I->U8 & 0xF);
-    const unsigned Size = I->U8 >> 4;
-    if ((O == BinOp::Divu || O == BinOp::Remu) && I->Imm == 0)
-      ++R.DivByZeroCount;
-    const Word Addr = evalBinOp(O, Sl[I->A], I->Imm);
-    if (B2_UNLIKELY(!isAligned(Addr, Size)))
-      B2_FAULT(MisalignedAccess,
-               "load" + std::to_string(Size) + " at " + hex32(Addr));
-    if (B2_UNLIKELY(!Mem.owns(Addr, Size)))
-      B2_FAULT(LoadOutsideFootprint,
-               "load" + std::to_string(Size) + " at " + hex32(Addr));
-    *Sp++ = Mem.readLe(Addr, Size);
-    B2_NEXT;
-  }
-
-  B2_OP(StepSet2Lit) {
-    B2_STEP_CHARGE;
-    Sl[I->A] = I->Imm;
-    Bd[I->A] = 1;
-    // Second assignment's charge(s); the literal rides in Str.
-    const uint64_t N2 = 1 + uint64_t(I->Arg >> 16);
-    if (B2_UNLIKELY(Steps + N2 > FuelLim)) {
-      Steps = FuelLim;
-      B2_FAULT(OutOfFuel, "statement budget exhausted");
-    }
-    Steps += N2;
-    const uint16_t SlotB = uint16_t(I->Arg);
-    Sl[SlotB] = I->Str;
-    Bd[SlotB] = 1;
-    B2_NEXT;
-  }
-
-  B2_OP(BinopLoad) {
-    const Word BV = *--Sp;
-    const BinOp O = BinOp(I->U8 & 0xF);
-    const unsigned Size = I->U8 >> 4;
-    if ((O == BinOp::Divu || O == BinOp::Remu) && BV == 0)
-      ++R.DivByZeroCount;
-    const Word Addr = evalBinOp(O, Sp[-1], BV);
-    if (B2_UNLIKELY(!isAligned(Addr, Size)))
-      B2_FAULT(MisalignedAccess,
-               "load" + std::to_string(Size) + " at " + hex32(Addr));
-    if (B2_UNLIKELY(!Mem.owns(Addr, Size)))
-      B2_FAULT(LoadOutsideFootprint,
-               "load" + std::to_string(Size) + " at " + hex32(Addr));
-    Sp[-1] = Mem.readLe(Addr, Size);
     B2_NEXT;
   }
 
@@ -1568,14 +921,10 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
     B2_NEXT;
   }
 
-  B2_OP(StepLoadV)
-    B2_STEP_CHARGE;
-    goto Body_LoadV;
-  B2_OP(LoadV)
-  Body_LoadV: {
+  B2_OP(LoadV) {
     if (B2_UNLIKELY(!Bd[I->A]))
       B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const unsigned Size = I->U8 & 0xF;
+    const unsigned Size = I->U8;
     const Word Addr = Sl[I->A];
     if (B2_UNLIKELY(!isAligned(Addr, Size)))
       B2_FAULT(MisalignedAccess,
@@ -1587,14 +936,10 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
     B2_NEXT;
   }
 
-  B2_OP(StepLoadVS)
-    B2_STEP_CHARGE;
-    goto Body_LoadVS;
-  B2_OP(LoadVS)
-  Body_LoadVS: {
+  B2_OP(LoadVS) {
     if (B2_UNLIKELY(!Bd[I->A]))
       B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const unsigned Size = I->U8 & 0xF;
+    const unsigned Size = I->U8;
     const Word Addr = Sl[I->A];
     if (B2_UNLIKELY(!isAligned(Addr, Size)))
       B2_FAULT(MisalignedAccess,
@@ -1621,17 +966,13 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
     B2_NEXT;
   }
 
-  B2_OP(StepStoreVV)
-    B2_STEP_CHARGE;
-    goto Body_StoreVV;
-  B2_OP(StoreVV)
-  Body_StoreVV: {
+  B2_OP(StoreVV) {
     if (B2_UNLIKELY(!Bd[I->A]))
       B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
     const uint16_t VSlot = uint16_t(I->Arg);
     if (B2_UNLIKELY(!Bd[VSlot]))
       B2_FAULT(UnboundVariable, BP.Strings[I->Imm]);
-    const unsigned Size = I->U8 & 0xF;
+    const unsigned Size = I->U8;
     const Word Addr = Sl[I->A];
     if (B2_UNLIKELY(!isAligned(Addr, Size)))
       B2_FAULT(MisalignedAccess,
@@ -1643,14 +984,10 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
     B2_NEXT;
   }
 
-  B2_OP(StepStoreVI)
-    B2_STEP_CHARGE;
-    goto Body_StoreVI;
-  B2_OP(StoreVI)
-  Body_StoreVI: {
+  B2_OP(StoreVI) {
     if (B2_UNLIKELY(!Bd[I->A]))
       B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const unsigned Size = I->U8 & 0xF;
+    const unsigned Size = I->U8;
     const Word Addr = Sl[I->A];
     if (B2_UNLIKELY(!isAligned(Addr, Size)))
       B2_FAULT(MisalignedAccess,
@@ -1661,81 +998,12 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
     Mem.writeLe(Addr, Size, I->Imm);
     B2_NEXT;
   }
-
-  B2_OP(BrVZ)
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    if (Sl[I->A] == 0)
-      Pc = I->Arg;
-    B2_NEXT;
-
-  B2_OP(BrVVZ) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const uint16_t BSlot = uint16_t(I->Imm & 0xFFFF);
-    if (B2_UNLIKELY(!Bd[BSlot]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Imm >> 16]);
-    const Word BV = Sl[BSlot];
-    const BinOp O = BinOp(I->U8);
-    if ((O == BinOp::Divu || O == BinOp::Remu) && BV == 0)
-      ++R.DivByZeroCount;
-    if (evalBinOp(O, Sl[I->A], BV) == 0)
-      Pc = I->Arg;
-    B2_NEXT;
-  }
-
-  B2_OP(BrVIZ) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const BinOp O = BinOp(I->U8);
-    if ((O == BinOp::Divu || O == BinOp::Remu) && I->Imm == 0)
-      ++R.DivByZeroCount;
-    if (evalBinOp(O, Sl[I->A], I->Imm) == 0)
-      Pc = I->Arg;
-    B2_NEXT;
-  }
-
-  B2_OP(BrSIZ) {
-    const Word AV = *--Sp;
-    const BinOp O = BinOp(I->U8);
-    if ((O == BinOp::Divu || O == BinOp::Remu) && I->Imm == 0)
-      ++R.DivByZeroCount;
-    if (evalBinOp(O, AV, I->Imm) == 0)
-      Pc = I->Arg;
-    B2_NEXT;
-  }
-
-  B2_OP(BrSVZ) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const Word BV = Sl[I->A];
-    const Word AV = *--Sp;
-    const BinOp O = BinOp(I->U8);
-    if ((O == BinOp::Divu || O == BinOp::Remu) && BV == 0)
-      ++R.DivByZeroCount;
-    if (evalBinOp(O, AV, BV) == 0)
-      Pc = I->Arg;
-    B2_NEXT;
-  }
-
-  B2_OP(BrSSZ) {
-    const Word BV = *--Sp;
-    const Word AV = *--Sp;
-    const BinOp O = BinOp(I->U8);
-    if ((O == BinOp::Divu || O == BinOp::Remu) && BV == 0)
-      ++R.DivByZeroCount;
-    if (evalBinOp(O, AV, BV) == 0)
-      Pc = I->Arg;
-    B2_NEXT;
-  }
-
 #if !B2_BC_THREADED
     }
   }
 #endif
 #undef B2_OP
 #undef B2_NEXT
-#undef B2_STEP_CHARGE
 #undef B2_CHARGE
 #undef B2_FAULT
 

@@ -46,7 +46,7 @@ namespace bc {
 
 /// The full operation list as an X-macro so the enum and the executor's
 /// computed-goto jump table are generated from one source and can never
-/// fall out of order. Three groups:
+/// fall out of order. Two groups:
 ///
 /// Base ops — expressions evaluate on an operand stack in the reference
 /// walker's evaluation order; statements mirror execStmt one case at a
@@ -75,8 +75,8 @@ namespace bc {
 ///   CollectRet   append slot A to the return tuple (Str if unbound).
 ///   Return       function epilogue.
 ///
-/// Fused superinstructions, produced by the first peephole pass. Each
-/// has the same net stack effect and raises the identical fault sequence
+/// Fused superinstructions, produced by the one peephole pass. Each has
+/// the same net stack effect and raises the identical fault sequence
 /// (kind, detail, order) as the ops it replaces — the differential
 /// harness holds for fused code too. Naming: V = slot operand, I =
 /// immediate, trailing S = result stored to a slot (else pushed), lone
@@ -98,73 +98,6 @@ namespace bc {
 ///   LoadS      slot A = load{U8}(pop()).
 ///   StoreVV    store{U8}(slot A, slot Arg); details Str, Imm.
 ///   StoreVI    store{U8}(slot A, Imm); detail Str.
-///
-/// Expression-combo superinstructions, produced by a pass over the
-/// first pass's output (dynamic digram profiling picked the patterns):
-///   Push2VL    push slot A, then push Imm (detail Str).
-///   FoldSI     pop a; push (top op' (a op Imm)) in place — a BinopSI
-///              feeding a Binop. U8 packs op (low nibble) and op'
-///              (high nibble); both division-by-zero counts preserved
-///              in evaluation order.
-///   FoldVV     push-free BinopVV feeding a Binop: top = top op'
-///              (slot A op slot Arg); fields as BinopVV, U8 packed.
-///   FoldVI     BinopVI feeding a Binop: top = top op' (slot A op Imm);
-///              fields as BinopVI, U8 packed as for FoldSI.
-///   BinopLoad  pop b; addr = top op b; top = load{size}(addr) — a
-///              Binop feeding a LoadMem. U8 packs op (low nibble) and
-///              the access size (high nibble).
-///   BinopVILoad  push load{size}(slot A op Imm) — base-plus-offset
-///              addressing, a BinopVI feeding a LoadMem. U8 packs op
-///              (low nibble) and the access size (high nibble).
-///
-/// Step*/Br* superinstructions, produced by the next peephole pass.
-/// Step<X> charges one statement fuel step ("statement budget
-/// exhausted", checked before anything else, exactly like the StepStmt
-/// it absorbs) and then behaves as <X>. Every Step<X> payload fits the
-/// low nibble of U8 (BinOp tops out at 14, access sizes at 4), so the
-/// final pass stores a count of additional preceding charges — a run
-/// of enclosing Seq entries — in U8's high nibble; handlers charge
-/// 1 + (U8 >> 4) steps up front and mask the payload. Br<X>Z evaluates like <X> and
-/// branches to Arg when the result is zero instead of pushing it
-/// (absorbing a JumpIfZero; BrVVZ packs rhs slot and its detail into
-/// Imm as (str << 16) | slot and is only produced when both fit).
-/// StepLoopJump is the per-iteration backedge: loop fuel charge ("loop
-/// budget exhausted") followed by pc = Arg.
-///
-/// A final pass collapses what the previous one exposes:
-///   StepN           A consecutive statement fuel charges in one op
-///                   (nested Seq nodes each charge on entry, so charge
-///                   runs are common). Faults at the identical
-///                   StepsUsed when the budget runs out mid-run.
-///   StepIncLoopJump the canonical loop latch "i = i op lit" plus the
-///                   backedge: statement charge(s) (U8 high nibble, as
-///                   for Step<X>), unbound check (Str), slot A = slot A
-///                   op Imm, loop charge, pc = Arg. Only produced when
-///                   the destination is the lhs slot, which is what
-///                   counter updates compile to.
-///   BrVZStepN       BrVZ whose fall-through path starts with Imm
-///                   statement charges (a loop head or if test entering
-///                   its body): branch to Arg on zero with no charge,
-///                   else charge Imm like StepN.
-///   StepNBrVZ       Imm statement charges followed by a BrVZ (an if
-///                   test after its enclosing Seq charges; while heads
-///                   are jump targets and stay unfused).
-///   StepSet2Lit     two consecutive constant assignments, charges
-///                   included: charge as Step<X>, slot A = Imm, then
-///                   charge 1 + (Arg >> 16) more, slot (Arg & 0xFFFF) =
-///                   Str (the second literal rides in the Str field —
-///                   SetLit has no fault detail to store there).
-///   IncLoopBrNZ     a whole loop iteration boundary in one op: a
-///                   StepIncLoopJump latch whose target is a BrVZStepN
-///                   head testing the same slot, with the head's exit
-///                   equal to the latch's fall-through. Charges and
-///                   updates like StepIncLoopJump, then runs the head
-///                   test inline: on nonzero, charge the body's run
-///                   (Arg >> 24) and jump to Arg & 0xFFFFFF (the op
-///                   after the head); on zero fall through to the exit.
-///                   Produced by a final 1:1 substitution (the head
-///                   stays for the loop-entry path), so its packed Arg
-///                   is never remapped.
 #define B2_BC_OP_LIST(X)                                                     \
   X(PushLit) X(PushVar) X(LoadMem) X(Binop) X(SetVar) X(StoreMem) X(Jump)    \
   X(JumpIfZero) X(StepStmt) X(StepLoop) X(CheckInv) X(MeasReset)             \
@@ -172,14 +105,7 @@ namespace bc {
   X(LeaveAlloc) X(StaticFault) X(CheckPre) X(CheckPost) X(CollectRet)        \
   X(Return) X(SetLit) X(MoveVar) X(BinopVV) X(BinopVVS) X(BinopVI)           \
   X(BinopVIS) X(BinopSI) X(BinopSIS) X(BinopSV) X(BinopSVS) X(BinopSS)       \
-  X(LoadV) X(LoadVS) X(LoadS) X(StoreVV) X(StoreVI) X(Push2VL) X(FoldSI)     \
-  X(FoldVV) X(FoldVI) X(BinopLoad) X(BinopVILoad) X(StepPushLit)             \
-  X(StepPushVar) X(StepSetLit) X(StepMoveVar) X(StepBinopVV) X(StepBinopVVS) \
-  X(StepBinopVI) X(StepBinopVIS) X(StepLoadV) X(StepLoadVS) X(StepStoreVV)   \
-  X(StepStoreVI) X(StepEnterAlloc) X(StepCallBind) X(StepPush2VL)            \
-  X(StepLoopJump) X(StepN) X(StepSet2Lit) X(StepIncLoopJump) X(IncLoopBrNZ)  \
-  X(BrVZStepN) X(StepNBrVZ) X(BrVZ) X(BrVVZ) X(BrVIZ) X(BrSIZ) X(BrSVZ)      \
-  X(BrSSZ)
+  X(LoadV) X(LoadVS) X(LoadS) X(StoreVV) X(StoreVI)
 
 enum class Op : uint8_t {
 #define B2_BC_OP_ENUM(N) N,

@@ -196,8 +196,23 @@ private:
   Lexer Lex;
   Token Cur;
   std::string Err;
+  /// Open blocks plus open parenthesized and load(...) expressions. The
+  /// parser and every pass that later walks the tree recurse once per
+  /// level, so hostile nesting must stop here as a located error instead
+  /// of overflowing the stack. A failed parse stops at its first error,
+  /// so failure paths need not unwind the count.
+  unsigned Nesting = 0;
+  static constexpr unsigned MaxNesting = 256;
 
   void advance() { Cur = Lex.next(); }
+
+  bool enterNesting() {
+    if (Nesting == MaxNesting)
+      return failHere("nesting deeper than " + std::to_string(MaxNesting) +
+                      " levels");
+    ++Nesting;
+    return true;
+  }
 
   bool failHere(const std::string &Msg) {
     if (Err.empty())
@@ -290,7 +305,7 @@ private:
   }
 
   bool parseBlock(StmtPtr &Out) {
-    if (!expectPunct("{"))
+    if (!enterNesting() || !expectPunct("{"))
       return false;
     std::vector<StmtPtr> Stmts;
     while (!isPunct("}")) {
@@ -302,6 +317,7 @@ private:
       Stmts.push_back(S);
     }
     advance(); // consume '}'
+    --Nesting;
     Out = Stmt::block(std::move(Stmts));
     return true;
   }
@@ -413,7 +429,8 @@ private:
       if (!expectPunct("]"))
         return false;
       if (N == 0 || N % 4 != 0)
-        return failHere("stackalloc size must be a positive multiple of 4");
+        return failHere("stackalloc size " + std::to_string(N) +
+                        " is 0 or not a multiple of 4");
       StmtPtr Body;
       if (!parseBlock(Body))
         return false;
@@ -584,11 +601,12 @@ private:
       int Size = loadSizeOf(Cur.Text);
       if (Size) {
         advance();
-        if (!expectPunct("("))
+        if (!enterNesting() || !expectPunct("("))
           return nullptr;
         ExprPtr A = parseExprP(0);
         if (!A || !expectPunct(")"))
           return nullptr;
+        --Nesting;
         return Expr::load(unsigned(Size), A);
       }
       std::string Name = Cur.Text;
@@ -596,10 +614,13 @@ private:
       return Expr::var(Name);
     }
     if (isPunct("(")) {
+      if (!enterNesting())
+        return nullptr;
       advance();
       ExprPtr E = parseExprP(0);
       if (!E || !expectPunct(")"))
         return nullptr;
+      --Nesting;
       return E;
     }
     failHere("expected expression, found '" + Cur.Text + "'");

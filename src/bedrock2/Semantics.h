@@ -68,7 +68,7 @@ enum class Fault : uint8_t {
   ArityMismatch,
   ExtContractViolation, ///< vcextern precondition failed.
   OutOfFuel,            ///< Suspected divergence (totality violation).
-  StackallocMisuse,     ///< Bad size or nested shadowing.
+  StackallocMisuse,     ///< Size 0 or not a multiple of 4.
   PreconditionFailed,   ///< A callee's `requires` clause was violated.
   PostconditionFailed,  ///< A function's `ensures` clause was violated.
   InvariantViolated,    ///< A loop invariant did not hold at the test.

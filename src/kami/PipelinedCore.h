@@ -36,6 +36,7 @@
 #include "kami/MemSystem.h"
 #include "riscv/Mmio.h"
 #include "support/Snapshot.h"
+#include "verify/FaultInjection.h"
 
 #include <cassert>
 #include <cstdint>
@@ -291,7 +292,11 @@ inline void PipelinedCore::retire(const ExecOut &W, uint64_t Cycle) {
     setReg(W.D.Rd, W.AluResult);
   }
 
-  assert(W.Pc == CommitPc && "out-of-order retirement");
+  // An armed kami-btb-no-squash retires the unsquashed wrong-path
+  // instruction on purpose; the fault belongs to its owning checker, so
+  // the invariant must not abort a Debug build first.
+  assert((W.Pc == CommitPc || fi::on(fi::Fault::KamiBtbNoSquash)) &&
+         "out-of-order retirement");
   CommitPc = W.NextPc;
   ++Stats.Retired;
 }

@@ -82,7 +82,6 @@ namespace metrics {
   X(InterpCompileInsnsIn, "interp.compile.insns_in", Counter, Det)             \
   X(InterpCompileInsnsOut, "interp.compile.insns_out", Counter, Det)           \
   X(InterpFuseHits, "interp.fuse.hits", Counter, Det)                          \
-  X(InterpFuseLoopHeads, "interp.fuse.loop_heads", Counter, Det)               \
   X(InterpExecRuns, "interp.exec.runs", Counter, Det)                          \
   X(InterpExecSteps, "interp.exec.steps", Counter, Det)                        \
   /* traffic: soak harness + streaming monitor */                              \

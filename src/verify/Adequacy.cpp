@@ -214,8 +214,8 @@ bool interpDiffFails(const char *Src, const char *Fn,
   }
   riscv::NoDevice Dev;
   bedrock2::MmioExtSpec Ext(Dev, 64 * 1024);
-  // Modest fuel: latch faults turn countdown loops into runaways, and the
-  // resulting OutOfFuel-vs-done divergence should surface quickly.
+  // Modest fuel: a fault that breaks a loop counter turns the loop into a
+  // runaway, and the OutOfFuel-vs-done divergence should surface quickly.
   bedrock2::Interp I(*P.Prog, Ext, /*Fuel=*/200'000, {},
                      bedrock2::ExecMode::Differential);
   (void)I.callFunction(Fn, Args);
@@ -228,15 +228,15 @@ bool interpDiffFails(const char *Src, const char *Fn,
 
 std::vector<Stim> interpDiffStims() {
   return {
-      // Countdown loop: fuses to IncLoopBrNZ with a Sub latch, covering
-      // the latch-op, loop-head-branch, and body-entry-charge fast paths.
+      // Countdown loop: a Sub latch (BinopVIS) under a variable loop test,
+      // covering the loop charges and the fused assignment forms.
       {"countdown-loop", [](std::string &D) {
          return interpDiffFails(
              "fn f() -> (r) { r = 0; i = 8;"
              "  while (i) { r = r + i; i = i - 1; } }",
              "f", {}, D);
        }},
-      // Comparison-headed loop (BrVZ over a temporary, StepN charges).
+      // Comparison-headed loop (BinopVI feeding the loop's JumpIfZero).
       {"counted-loop", [](std::string &D) {
          return interpDiffFails(
              "fn f() -> (r) { r = 0; i = 0;"
@@ -997,7 +997,6 @@ std::vector<fi::Fault> b2::verify::quickFaultSet() {
       fi::Fault::KamiMemWrongByteEnable,
       fi::Fault::KamiDecodeShamtWide,
       fi::Fault::DevLanRxByteOrder,
-      fi::Fault::BcBrVZInverted,
       fi::Fault::BcAllocSkew,
       fi::Fault::TrafficGenUnseededFrame,
       fi::Fault::SnapStateStaleLatch,

@@ -96,14 +96,6 @@ const std::vector<FaultInfo> &b2::fi::faultRegistry() {
        "ON command is buffered, later OFF commands are corrupted in the "
        "FIFO"},
       // -- Interpreter / bytecode --------------------------------------------
-      {Fault::BcLoopChargeMiscount, "bc-loop-charge-miscount", "interp",
-       "InterpDiff",
-       "the fused whole-loop-iteration op charges one statement too few "
-       "on body entry"},
-      {Fault::BcLatchOpAsAdd, "bc-latch-op-as-add", "interp", "InterpDiff",
-       "fused 'i = i op k' latches execute op as addition"},
-      {Fault::BcBrVZInverted, "bc-brvz-inverted", "interp", "InterpDiff",
-       "fused loop-head branches exit on nonzero instead of zero"},
       {Fault::BcDivCountSkip, "bc-div-count-skip", "interp", "InterpDiff",
        "the bytecode Binop handler does not count divisions by zero"},
       {Fault::BcAllocSkew, "bc-alloc-skew", "interp", "InterpDiff",

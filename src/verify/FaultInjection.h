@@ -91,9 +91,6 @@ enum class Fault : uint8_t {
                               ///< every later OFF command is corrupted
                               ///< in the FIFO (header byte flipped).
   // -- Interpreter / bytecode bugs (owned by InterpDiff / CompilerDiff) ----
-  BcLoopChargeMiscount,       ///< Fused loop op undercharges body entry.
-  BcLatchOpAsAdd,             ///< Fused "i = i op k" latch always adds.
-  BcBrVZInverted,             ///< Fused loop-head branch tests != 0.
   BcDivCountSkip,             ///< Bytecode Binop forgets DivByZeroCount.
   BcAllocSkew,                ///< stackalloc hands out base + 4.
   FootprintCoalesceDropByte,  ///< Interval merge in the ownership set

@@ -7,7 +7,7 @@
 // Tier-1 coverage for the fault-injection adequacy campaign itself: the
 // injection kernel, the no-false-positive baseline, one representative
 // seeded fault per stack layer killed by its owning checker, and
-// bit-identical reports at every thread count. The full 38-fault matrix
+// bit-identical reports at every thread count. The full 35-fault matrix
 // runs as the `adequacy` CI tier (tools/adequacy).
 //
 //===----------------------------------------------------------------------===//
@@ -135,7 +135,7 @@ TEST(Adequacy, DeviceLayerFaultKilled) {
 }
 
 TEST(Adequacy, InterpLayerFaultKilled) {
-  expectOwnerKills("bc-latch-op-as-add");
+  expectOwnerKills("bc-div-count-skip");
 }
 
 TEST(Adequacy, TrafficLayerFaultKilled) {

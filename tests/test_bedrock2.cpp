@@ -386,6 +386,60 @@ TEST(Parser, ReportsErrorsWithLine) {
   R = parseProgram("fn f() {} fn f() {}");
   EXPECT_FALSE(R.ok());
   EXPECT_NE(R.Error.find("duplicate"), std::string::npos);
+  // The interpreter's stackalloc size rule (Fault::StackallocMisuse),
+  // stated for a literal size.
+  R = parseProgram("fn f() -> (r) {\n  stackalloc p[6] { r = p; }\n}");
+  EXPECT_EQ(R.Error, "line 2: stackalloc size 6 is 0 or not a multiple of 4");
+}
+
+// Hostile nesting is a located parse error, not a stack overflow in the
+// recursive-descent parser or in the passes that walk the tree later.
+TEST(Parser, DeepParenthesesAreALocatedError) {
+  const size_t N = 200'000;
+  ParseResult R = parseProgram("fn f() -> (r) {\n  r = " +
+                               std::string(N, '(') + "1" +
+                               std::string(N, ')') + ";\n}");
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.Error.rfind("line 2: nesting deeper than", 0), 0u) << R.Error;
+  // Loads nest too.
+  std::string Loads;
+  for (size_t I = 0; I != N; ++I)
+    Loads += "load4(";
+  R = parseProgram("fn f() -> (r) { r = " + Loads + "0" +
+                   std::string(N, ')') + "; }");
+  EXPECT_FALSE(R.ok());
+  EXPECT_NE(R.Error.find("nesting deeper than"), std::string::npos)
+      << R.Error;
+  // Moderate nesting still parses and runs.
+  R = parseProgram("fn f() -> (r) { r = " + std::string(200, '(') + "7" +
+                   std::string(200, ')') + "; }");
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(runPure(*R.Prog, "f", {}).Rets, std::vector<Word>{7});
+}
+
+TEST(Parser, DeepNestedBlocksAreALocatedError) {
+  std::string Open, Close;
+  for (size_t I = 0; I != 200'000; ++I) {
+    Open += "if (1) {\n";
+    Close += "}";
+  }
+  ParseResult R = parseProgram("fn f() -> (r) {\n  r = 0;\n" + Open +
+                               "r = 1;" + Close + "}");
+  EXPECT_FALSE(R.ok());
+  // The function body is one level, so the 256th `if` is the first too
+  // deep; it sits on line 258.
+  EXPECT_EQ(R.Error.rfind("line 258: nesting deeper than 256 levels", 0), 0u)
+      << R.Error;
+  Open.clear();
+  Close.clear();
+  for (size_t I = 0; I != 200; ++I) {
+    Open += "while (r < 1) { ";
+    Close += "}";
+  }
+  R = parseProgram("fn f() -> (r) { r = 0; " + Open + "r = 1;" + Close +
+                   "}");
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(runPure(*R.Prog, "f", {}).Rets, std::vector<Word>{1});
 }
 
 TEST(Parser, PrintParseRoundTrip) {

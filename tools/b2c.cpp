@@ -12,13 +12,14 @@
 //                               the binary on the ISA simulator
 //     --core=sim|spec|pipe      which machine model --run uses
 //     --event-loop=INIT,LOOP    event-loop entry (run caps at --max-steps)
-//     --ram=BYTES               RAM size (default 65536)
+//     --ram=BYTES               RAM size, a multiple of 4 (default 65536)
 //     --max-steps=N             simulation budget (default 10M)
 //     --trace                   print the MMIO trace after --run
 //     --check                   also run the source interpreter and diff
 //                               the I/O traces (compiler differential)
 //
-// Exit code: 0 on success, 1 on any error or differential mismatch.
+// Exit code: 0 on success, 1 on any error or differential mismatch, 2 on
+// bad usage (an unknown option or a numeric flag outside its range).
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +32,7 @@
 #include "kami/PipelinedCore.h"
 #include "kami/SpecCore.h"
 #include "riscv/Step.h"
+#include "support/Args.h"
 #include "support/Format.h"
 #include "verify/CompilerDiff.h"
 
@@ -65,7 +67,7 @@ int usage() {
                "           [--run=FN[,ARG...]] [--core=sim|spec|pipe]\n"
                "           [--event-loop=INIT,LOOP] [--ram=N]\n"
                "           [--max-steps=N] [--trace] [--check]\n");
-  return 1;
+  return 2;
 }
 
 bool parseWord(const std::string &S, Word &Out) {
@@ -91,13 +93,23 @@ bool parseArgs(int Argc, char **Argv, Options &O) {
     } else if (A.rfind("--core=", 0) == 0) {
       O.Core = A.substr(7);
     } else if (A.rfind("--ram=", 0) == 0) {
-      if (!parseWord(A.substr(6), O.RamBytes))
+      // RAM sits at address 0, below the MMIO windows at 0x10012000.
+      uint64_t N = 0;
+      if (!support::parseNumericFlag("b2c", "--ram", A.c_str() + 6, 4,
+                                     0x10000000, N))
         return false;
+      if (N % 4 != 0) {
+        std::fprintf(stderr, "b2c: --ram wants a multiple of 4, got '%s'\n",
+                     A.c_str() + 6);
+        return false;
+      }
+      O.RamBytes = Word(N);
     } else if (A.rfind("--max-steps=", 0) == 0) {
-      Word W;
-      if (!parseWord(A.substr(12), W))
+      // The pipelined core's cycle cap is 4x this, so keep it far from
+      // overflow.
+      if (!support::parseNumericFlag("b2c", "--max-steps", A.c_str() + 12, 1,
+                                     1'000'000'000'000, O.MaxSteps))
         return false;
-      O.MaxSteps = W;
     } else if (A.rfind("--run=", 0) == 0) {
       std::stringstream SS(A.substr(6));
       std::string Part;

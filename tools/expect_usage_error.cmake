@@ -3,7 +3,16 @@
 # clamp or a vacuous PASS all fail. Used by the tier-1 CLI tests:
 #
 #   cmake -DTOOL=path -DFLAG=--frames -DVALUE=abc -P expect_usage_error.cmake
-execute_process(COMMAND ${TOOL} ${FLAG} ${VALUE}
+#
+# A FLAG ending in '=' (b2c's `--ram=N` form) is joined with its value
+# into one argument: -DFLAG=--ram= -DVALUE=-4 runs `TOOL --ram=-4`.
+if(FLAG MATCHES "=$")
+  set(Args "${FLAG}${VALUE}")
+  string(REGEX REPLACE "=$" "" FLAG "${FLAG}")
+else()
+  set(Args ${FLAG} ${VALUE})
+endif()
+execute_process(COMMAND ${TOOL} ${Args}
                 RESULT_VARIABLE Status
                 OUTPUT_VARIABLE Out
                 ERROR_VARIABLE Err)
