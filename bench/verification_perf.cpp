@@ -25,8 +25,10 @@
 #include "app/LightbulbSpec.h"
 #include "compiler/Compile.h"
 #include "devices/Net.h"
+#include "devices/MemoryMap.h"
 #include "devices/Platform.h"
 #include "support/Json.h"
+#include "support/Rng.h"
 #include "support/ThreadPool.h"
 #include "tracespec/Matcher.h"
 #include "verify/CompilerDiff.h"
@@ -35,6 +37,8 @@
 #include "verify/Lockstep.h"
 #include "verify/ParallelDriver.h"
 #include "verify/Refinement.h"
+
+#include "../tests/RandomProgram.h"
 
 #include <benchmark/benchmark.h>
 
@@ -110,6 +114,76 @@ void BM_LockstepFirmware(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations() * State.range(0));
 }
 BENCHMARK(BM_LockstepFirmware)->Arg(20000);
+
+/// A check-fleet-shaped corpus: short cold random programs (one helper,
+/// no nested loops), each with two interesting arguments and its o0
+/// binary. perfbench's check-fleet runs CompilerDiff and Lockstep on 512
+/// such programs; 64 keep a row's iteration short.
+struct ShortProgram {
+  bedrock2::Program Prog;
+  std::vector<Word> Args;
+  compiler::CompiledProgram Bin;
+};
+
+const std::vector<ShortProgram> &shortPrograms() {
+  static const std::vector<ShortProgram> Corpus = [] {
+    b2::testing::RandomProgramOptions Shape;
+    Shape.NumHelpers = 1;
+    Shape.MaxDepth = 1;
+    std::vector<ShortProgram> Out;
+    for (uint64_t Seed : verify::fleetSeeds(1, 64)) {
+      ShortProgram SP;
+      SP.Prog = b2::testing::RandomProgramGen(Seed, Shape).generate();
+      support::Rng Rng(Seed * 31);
+      SP.Args = {Rng.interestingWord(), Rng.interestingWord()};
+      SP.Bin = *compiler::compileProgram(
+                    SP.Prog, compiler::CompilerOptions::o0(),
+                    compiler::Entry::singleCall("main", SP.Args),
+                    devices::DefaultRamBytes)
+                    .Prog;
+      Out.push_back(std::move(SP));
+    }
+    return Out;
+  }();
+  return Corpus;
+}
+
+/// Lockstep on the short corpus; Arg = MemoryCheckEvery (512 is the
+/// default, 16 the adequacy campaign's cadence).
+void BM_LockstepShortPrograms(benchmark::State &State) {
+  const std::vector<ShortProgram> &Corpus = shortPrograms();
+  verify::LockstepOptions O;
+  O.MemoryCheckEvery = uint64_t(State.range(0));
+  for (auto _ : State) {
+    for (const ShortProgram &SP : Corpus) {
+      verify::LockstepResult R = verify::lockstep(
+          SP.Bin.image(), SP.Bin.HaltPc,
+          [] { return std::make_unique<riscv::NoDevice>(); }, O);
+      if (!R.Ok || R.SimulatorHitUb)
+        State.SkipWithError("lockstep mismatch");
+      benchmark::DoNotOptimize(R.Cycles);
+    }
+  }
+  State.SetItemsProcessed(State.iterations() * int64_t(Corpus.size()));
+}
+BENCHMARK(BM_LockstepShortPrograms)->Arg(512)->Arg(16)
+    ->Unit(benchmark::kMillisecond);
+
+/// CompilerDiff (three stackalloc salts, Fast source mode) on the short
+/// corpus.
+void BM_CompilerDiffShortPrograms(benchmark::State &State) {
+  const std::vector<ShortProgram> &Corpus = shortPrograms();
+  for (auto _ : State) {
+    for (const ShortProgram &SP : Corpus) {
+      verify::DiffResult R = verify::diffCompilePure(SP.Prog, "main", SP.Args);
+      if (!R.Ok || !R.Source.ok())
+        State.SkipWithError("compiler diff mismatch");
+      benchmark::DoNotOptimize(R.MachineRetired);
+    }
+  }
+  State.SetItemsProcessed(State.iterations() * int64_t(Corpus.size()));
+}
+BENCHMARK(BM_CompilerDiffShortPrograms)->Unit(benchmark::kMillisecond);
 
 void BM_RefinementFirmware(benchmark::State &State) {
   const compiler::CompiledProgram &Prog = firmwareBinary();
@@ -305,6 +379,14 @@ int main(int argc, char **argv) {
   else
     std::printf("wrote %s\n", OutPath);
 
+  // A checker mismatch only skips its row; it must still fail the run.
+  bool RowsOk = true;
+  for (const auto &E : Reporter.Entries)
+    if (E.Error) {
+      std::fprintf(stderr, "row %s reported an error\n", E.Name.c_str());
+      RowsOk = false;
+    }
+
   benchmark::Shutdown();
-  return VerdictsIdentical ? 0 : 1;
+  return VerdictsIdentical && RowsOk ? 0 : 1;
 }

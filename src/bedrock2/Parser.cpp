@@ -203,6 +203,15 @@ private:
   /// so failure paths need not unwind the count.
   unsigned Nesting = 0;
   static constexpr unsigned MaxNesting = 256;
+  /// Length is depth too: a block's statements become a right-nested Seq
+  /// chain (Stmt::block), and a statement's binary operators nest their
+  /// operands, so the passes recurse once per statement of every open
+  /// block and once per operator. Hence caps on the statements in the
+  /// open blocks together and on the binary operators of one statement.
+  unsigned OpenStatements = 0;
+  unsigned StatementOperators = 0;
+  static constexpr unsigned MaxOpenStatements = 2048;
+  static constexpr unsigned MaxStatementOperators = 1024;
 
   void advance() { Cur = Lex.next(); }
 
@@ -290,6 +299,7 @@ private:
     while (isIdent("requires") || isIdent("ensures")) {
       bool IsPre = isIdent("requires");
       advance();
+      StatementOperators = 0;
       if (!expectPunct("("))
         return false;
       ExprPtr C = parseExprP(0);
@@ -311,6 +321,10 @@ private:
     while (!isPunct("}")) {
       if (Cur.K == TokKind::Eof)
         return failHere("unterminated block");
+      if (OpenStatements == MaxOpenStatements)
+        return failHere("more than " + std::to_string(MaxOpenStatements) +
+                        " statements in a block and its enclosing blocks");
+      ++OpenStatements;
       StmtPtr S;
       if (!parseStmt(S))
         return false;
@@ -318,6 +332,7 @@ private:
     }
     advance(); // consume '}'
     --Nesting;
+    OpenStatements -= unsigned(Stmts.size());
     Out = Stmt::block(std::move(Stmts));
     return true;
   }
@@ -361,6 +376,7 @@ private:
   }
 
   bool parseStmt(StmtPtr &Out) {
+    StatementOperators = 0;
     if (isIdent("skip")) {
       advance();
       if (!expectPunct(";"))
@@ -634,6 +650,12 @@ private:
       int Prec = precedenceOf(Cur.Text);
       if (Prec < MinPrec || Prec < 0)
         return Lhs;
+      if (StatementOperators == MaxStatementOperators) {
+        failHere("more than " + std::to_string(MaxStatementOperators) +
+                 " binary operators in one statement");
+        return nullptr;
+      }
+      ++StatementOperators;
       std::string Op = Cur.Text;
       advance();
       ExprPtr Rhs = parseAtom();

@@ -394,8 +394,10 @@ bool Footprint::identical(const Footprint &O) const {
 // -- Interpreter ---------------------------------------------------------------
 
 Interp::Interp(const Program &P, ExtSpec &Ext, uint64_t Fuel,
-               const StackallocPolicy &Policy, ExecMode Mode)
-    : Prog(P), Ext(Ext), Fuel(Fuel), Policy(Policy), Mode(Mode) {
+               const StackallocPolicy &Policy, ExecMode Mode,
+               std::shared_ptr<const BytecodeProgram> Compiled)
+    : Prog(P), Ext(Ext), Fuel(Fuel), Policy(Policy), Mode(Mode),
+      Bc(std::move(Compiled)) {
   StackNext = Policy.Base - (Policy.Salt & ~Word(3));
   ActiveExt = &this->Ext;
 }
@@ -403,10 +405,10 @@ Interp::Interp(const Program &P, ExtSpec &Ext, uint64_t Fuel,
 Interp::~Interp() = default;
 
 const BytecodeProgram &Interp::compiled() {
-  if (!Bc) {
-    Bc = std::make_unique<BytecodeProgram>(Prog);
+  if (!Bc)
+    Bc = std::make_shared<const BytecodeProgram>(Prog);
+  if (!Scratch)
     Scratch = std::make_unique<ExecScratch>();
-  }
   return *Bc;
 }
 

@@ -245,10 +245,14 @@ const char *execModeName(ExecMode M);
 class Interp {
 public:
   /// \p Ext supplies and checks external calls; \p Fuel bounds the total
-  /// statement steps (totality check).
+  /// statement steps (totality check). \p Compiled, when given, is the
+  /// bytecode of \p P (BytecodeProgram(P)) for the fast path, shared with
+  /// other interpreters of the same program; by default the interpreter
+  /// compiles its own on first use.
   Interp(const Program &P, ExtSpec &Ext, uint64_t Fuel = 10'000'000,
          const StackallocPolicy &Policy = StackallocPolicy(),
-         ExecMode Mode = ExecMode::Reference);
+         ExecMode Mode = ExecMode::Reference,
+         std::shared_ptr<const BytecodeProgram> Compiled = nullptr);
   ~Interp();
 
   /// Grants the program ownership of [Addr, Addr+Len) before execution
@@ -286,7 +290,8 @@ private:
   ExtSpec *ActiveExt = nullptr; ///< Ext for the current reference run
                                 ///< (swapped for a recorder in
                                 ///< differential mode).
-  std::unique_ptr<BytecodeProgram> Bc; ///< Lazily compiled fast path.
+  std::shared_ptr<const BytecodeProgram> Bc; ///< Fast path: given, or
+                                             ///< compiled on first use.
   std::unique_ptr<ExecScratch> Scratch; ///< Reusable fast-path arenas.
   std::string Divergences;
   uint64_t NumDivergences = 0;

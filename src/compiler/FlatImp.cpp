@@ -169,10 +169,15 @@ void print(const FlatFunction &F, const FStmt &S, unsigned Indent,
     print(F, *S.S1, Indent + 1, Out);
     Out += Pad + "}\n";
     return;
-  case FStmt::Kind::Seq:
-    print(F, *S.S1, Indent, Out);
-    print(F, *S.S2, Indent, Out);
+  case FStmt::Kind::Seq: {
+    // Walk the right spine in a loop: a long block, or one long
+    // flattened expression, is a long right-nested Seq chain.
+    const FStmt *Cur = &S;
+    for (; Cur->K == FStmt::Kind::Seq; Cur = Cur->S2.get())
+      print(F, *Cur->S1, Indent, Out);
+    print(F, *Cur, Indent, Out);
     return;
+  }
   case FStmt::Kind::Call:
   case FStmt::Kind::Interact: {
     Out += Pad;

@@ -28,6 +28,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -86,6 +87,10 @@ public:
     Word W = readWord(Addr);
     return uint8_t((W >> (8 * (Addr & 3))) & 0xFF);
   }
+
+  /// Read-only view of the word array (word I holds bytes 4I..4I+3), for
+  /// checkers that compare whole memories at once.
+  std::span<const Word> words() const { return Words; }
 
   /// Word-for-word content equality (the differential engines' memory
   /// comparison).

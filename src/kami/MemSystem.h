@@ -28,6 +28,7 @@
 #include "verify/FaultInjection.h"
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -121,6 +122,10 @@ public:
   }
 
   Word sizeWords() const { return Word(Lines.size()); }
+
+  /// Read-only view of the lines (line I caches the word at byte 4I), for
+  /// checkers that compare the cache with memory in bulk.
+  std::span<const Word> lines() const { return Lines; }
 
 private:
   std::vector<Word> Lines;

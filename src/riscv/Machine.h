@@ -45,6 +45,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -118,6 +119,10 @@ public:
   // -- RAM ----------------------------------------------------------------
 
   Word ramSize() const { return Word(Ram.size()); }
+
+  /// Read-only view of the RAM bytes, for checkers that compare whole
+  /// memories at once (verify/Lockstep.cpp).
+  std::span<const uint8_t> ramBytes() const { return Ram; }
 
   /// Returns true iff the \p Size-byte range at \p Addr lies entirely in
   /// RAM (with overflow handled).
@@ -211,6 +216,11 @@ public:
       return false;
     return xBitsAllSet(Addr, Size);
   }
+
+  /// Read-only view of the XAddrs bitset: bit (A & 63) of block A >> 6 is
+  /// set iff RAM byte A is executable. The last block's bits past
+  /// ramSize() carry no meaning.
+  std::span<const uint64_t> xAddrBlocks() const { return XBits; }
 
   // -- Invalidation listener ------------------------------------------------
 

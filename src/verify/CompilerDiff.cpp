@@ -6,6 +6,7 @@
 
 #include "verify/CompilerDiff.h"
 
+#include "bedrock2/Bytecode.h"
 #include "riscv/Step.h"
 #include "support/Format.h"
 
@@ -40,6 +41,11 @@ DiffResult b2::verify::diffCompile(const Program &P, const std::string &Fn,
   DiffResult R;
 
   // -- Source side, once per stackalloc placement policy -------------------
+  // The bytecode depends on the program alone, so every salt's run shares
+  // one compile.
+  std::shared_ptr<const BytecodeProgram> Bc;
+  if (Options.SourceMode != ExecMode::Reference)
+    Bc = std::make_shared<const BytecodeProgram>(P);
   riscv::MmioTrace FirstTrace;
   std::vector<Word> FirstRets;
   bool First = true;
@@ -48,7 +54,7 @@ DiffResult b2::verify::diffCompile(const Program &P, const std::string &Fn,
     MmioExtSpec Ext(*Dev, Options.RamBytes);
     StackallocPolicy Policy;
     Policy.Salt = Salt;
-    Interp I(P, Ext, Options.SourceFuel, Policy, Options.SourceMode);
+    Interp I(P, Ext, Options.SourceFuel, Policy, Options.SourceMode, Bc);
     for (const auto &[Addr, Len] : Options.OwnRegions)
       I.ownMemory(Addr, Len);
     ExecResult Src = I.callFunction(Fn, Args);

@@ -9,6 +9,12 @@
 #include "riscv/Step.h"
 #include "support/Format.h"
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
+#include <cstring>
+#include <span>
+
 using namespace b2;
 using namespace b2::verify;
 using namespace b2::support;
@@ -33,9 +39,20 @@ bool relatedState(const riscv::Machine &M, const kami::PipelinedCore &Core,
   return true;
 }
 
-/// Full data-memory comparison (expensive; called periodically).
+// The bulk comparisons below memcmp the simulator's little-endian RAM
+// bytes against the BRAM's and I$'s host-order words, which is the same
+// comparison only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "Lockstep's bulk memory comparison assumes a little-endian host");
+
+/// Full data-memory comparison (called periodically): one memcmp, then a
+/// word walk for the report only once a difference is known.
 bool relatedMemory(const riscv::Machine &M, const kami::Bram &B,
                    std::string &Error) {
+  assert(B.sizeBytes() == M.ramSize() && "lockstep memories differ in size");
+  std::span<const uint8_t> Ram = M.ramBytes();
+  if (std::memcmp(Ram.data(), B.words().data(), Ram.size()) == 0)
+    return true;
   for (Word A = 0; A < M.ramSize(); A += 4) {
     if (M.readRam(A, 4) != B.readWord(A)) {
       Error = "memory word at " + hex32(A) + " differs: sim " +
@@ -43,21 +60,39 @@ bool relatedMemory(const riscv::Machine &M, const kami::Bram &B,
       return false;
     }
   }
-  return true;
+  assert(false && "memcmp found a difference the word walk did not");
+  return false;
 }
 
 /// The XAddrs part of `related`: the instruction cache agrees with data
 /// memory on every executable address (section 5.8: "most importantly
 /// that the instruction cache is consistent with main memory at the
-/// executable addresses").
+/// executable addresses"). Walks the XAddrs bitset a 64-byte block at a
+/// time: a wholly executable block is one memcmp, a wholly data block is
+/// skipped, and only mixed blocks are compared word by word.
 bool relatedICache(const riscv::Machine &M, const kami::ICache &IC,
                    std::string &Error) {
-  for (Word A = 0; A + 4 <= M.ramSize(); A += 4) {
-    if (!M.isExecutable(A))
+  assert(IC.sizeWords() * 4 == M.ramSize() && "I$ and RAM differ in size");
+  std::span<const uint8_t> Ram = M.ramBytes();
+  std::span<const Word> Lines = IC.lines();
+  std::span<const uint64_t> XBlocks = M.xAddrBlocks();
+  for (size_t Block = 0; Block != XBlocks.size(); ++Block) {
+    Word Base = Word(Block * 64);
+    // The last block may hold fewer than 64 RAM bytes (a multiple of 4).
+    Word Bytes = std::min<Word>(64, M.ramSize() - Base);
+    uint64_t InRam = Bytes == 64 ? ~uint64_t(0) : (uint64_t(1) << Bytes) - 1;
+    uint64_t X = XBlocks[Block] & InRam;
+    if (X == 0)
       continue;
-    if (M.readRam(A, 4) != IC.fetch(A)) {
-      Error = "icache stale at executable address " + hex32(A);
-      return false;
+    if (X == InRam &&
+        std::memcmp(&Ram[Base], &Lines[Base / 4], Bytes) == 0)
+      continue;
+    for (Word A = Base; A != Base + Bytes; A += 4) {
+      if (((X >> (A - Base)) & 0xF) == 0xF &&
+          M.loadWordFast(A) != Lines[A / 4]) {
+        Error = "icache stale at executable address " + hex32(A);
+        return false;
+      }
     }
   }
   return true;

@@ -11,7 +11,9 @@
 #include "bedrock2/Semantics.h"
 
 #include "devices/MemoryMap.h"
+#include "compiler/Flatten.h"
 #include "devices/Platform.h"
+#include "verify/CompilerDiff.h"
 
 #include <gtest/gtest.h>
 
@@ -440,6 +442,69 @@ TEST(Parser, DeepNestedBlocksAreALocatedError) {
                    "}");
   ASSERT_TRUE(R.ok()) << R.Error;
   EXPECT_EQ(runPure(*R.Prog, "f", {}).Rets, std::vector<Word>{1});
+}
+
+// Length is depth too (a block is a right-nested Seq chain, an operator
+// chain a left-nested Expr), so long flat programs are capped as well:
+// at the cap they parse, compile and run; one past it is a located error.
+TEST(Parser, LongBlocksAreALocatedError) {
+  auto Block = [](size_t Statements) {
+    std::string Src = "fn f() -> (r) {\nr = 0;\n";
+    for (size_t I = 1; I != Statements; ++I)
+      Src += "r = r + 1;\n";
+    return Src + "}";
+  };
+  ParseResult R = parseProgram(Block(2048));
+  ASSERT_TRUE(R.ok()) << R.Error;
+  verify::DiffResult D = verify::diffCompilePure(*R.Prog, "f", {});
+  ASSERT_TRUE(D.Ok) << D.Error;
+  EXPECT_EQ(D.MachineRets, std::vector<Word>{2047});
+  // The 2049th statement sits on line 2050.
+  R = parseProgram(Block(2049));
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.Error, "line 2050: more than 2048 statements in a block and "
+                     "its enclosing blocks");
+  // Enclosing blocks' statements count: the Seq chain runs through them.
+  std::string Src = "fn f() -> (r) {\nr = 0;\nif (1) {\n";
+  for (size_t I = 0; I != 2047; ++I)
+    Src += "r = r + 1;\n";
+  R = parseProgram(Src + "}\n}");
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.Error.rfind("line 2050: more than 2048 statements", 0), 0u)
+      << R.Error;
+}
+
+TEST(Parser, LongOperatorChainsAreALocatedError) {
+  auto Chain = [](size_t Operators) {
+    std::string Src = "fn f() -> (r) {\nr = 1";
+    for (size_t I = 0; I != Operators; ++I)
+      Src += " + 1";
+    return Src + ";\n}";
+  };
+  ParseResult R = parseProgram(Chain(1024));
+  ASSERT_TRUE(R.ok()) << R.Error;
+  verify::DiffResult D = verify::diffCompilePure(*R.Prog, "f", {});
+  ASSERT_TRUE(D.Ok) << D.Error;
+  EXPECT_EQ(D.MachineRets, std::vector<Word>{1025});
+  // Flattened, the chain is one Seq spine of ~2,000 statements.
+  EXPECT_NE(compiler::toString(compiler::flattenFunction(*R.Prog->find("f")))
+                .find("r#"),
+            std::string::npos);
+  R = parseProgram(Chain(1025));
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.Error,
+            "line 2: more than 1024 binary operators in one statement");
+  // Operators inside parentheses and loads count toward their statement.
+  std::string Nested = "fn f() -> (r) { store4(load4(0";
+  for (size_t I = 0; I != 512; ++I)
+    Nested += " + 1";
+  Nested += "), (1";
+  for (size_t I = 0; I != 513; ++I)
+    Nested += " * 1";
+  R = parseProgram(Nested + ")); }");
+  EXPECT_FALSE(R.ok());
+  EXPECT_EQ(R.Error.rfind("line 1: more than 1024 binary operators", 0), 0u)
+      << R.Error;
 }
 
 TEST(Parser, PrintParseRoundTrip) {

@@ -153,6 +153,147 @@ TEST(Lockstep, StopsCleanlyAtSimulatorUb) {
   EXPECT_EQ(R.Ub, riscv::UbKind::InvalidInstruction);
 }
 
+// Lockstep's mismatch reports: each seeded fault below must be reported
+// with the first differing address and the exact text.
+
+namespace {
+
+LockstepResult lockstepArmed(fi::Fault F, const std::vector<isa::Instr> &P,
+                             Word HaltPc, LockstepOptions O = {}) {
+  fi::FaultPlan Plan = fi::FaultPlan::single(F);
+  fi::FaultScope Scope(Plan);
+  return lockstep(isa::instrencode(P), HaltPc, noDevice(), O);
+}
+
+/// Stores 0x11223344 to 0xFFF0, in the last XAddrs block of a 64 KiB
+/// RAM, then the byte 0x5A over its low byte.
+std::vector<isa::Instr> subwordStoreProgram() {
+  using namespace isa;
+  std::vector<Instr> P;
+  materialize(0x11223344, A1, P);
+  materialize(0xFFF0, A3, P);
+  P.push_back(sw(A3, A1, 0));
+  P.push_back(addi(A2, Zero, 0x5A));
+  P.push_back(mkS(Opcode::Sb, A3, A2, 0));
+  return P;
+}
+
+/// One instruction at 0, halting at 4, with an instruction word at
+/// \p Addr (never reached) and nops in between.
+std::vector<isa::Instr> codeAt(Word Addr) {
+  std::vector<isa::Instr> P = {isa::addi(isa::A0, isa::Zero, 1)};
+  P.resize(Addr / 4, isa::nop());
+  P.push_back(isa::addi(isa::A0, isa::A0, 1));
+  return P;
+}
+
+} // namespace
+
+TEST(Lockstep, WrongByteEnableNamesTheFirstDifferingWord) {
+  std::vector<isa::Instr> P = subwordStoreProgram();
+  Word Halt = Word(P.size() * 4);
+  LockstepResult R =
+      lockstepArmed(fi::Fault::KamiMemWrongByteEnable, P, Halt);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "memory word at 0x0000fff0 differs: sim 0x1122335a vs "
+                     "core 0x0000005a");
+  // The periodic check reports the same word, after the sb retires.
+  LockstepOptions O;
+  O.MemoryCheckEvery = 1;
+  R = lockstepArmed(fi::Fault::KamiMemWrongByteEnable, P, Halt, O);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "after 7 retirements: memory word at 0x0000fff0 "
+                     "differs: sim 0x1122335a vs core 0x0000005a");
+}
+
+TEST(Lockstep, TruncatedIcacheFillNamesTheFirstStaleAddress) {
+  // The fill stops at the middle of the 64 KiB RAM.
+  LockstepResult R =
+      lockstepArmed(fi::Fault::KamiIcacheFillTruncated, codeAt(0x8000), 4);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "icache stale at executable address 0x00008000");
+  // A 32-byte RAM is half an XAddrs block; its fill stops at 16.
+  LockstepOptions O;
+  O.RamBytes = 32;
+  R = lockstepArmed(fi::Fault::KamiIcacheFillTruncated, codeAt(16), 4, O);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "icache stale at executable address 0x00000010");
+  // The same with a store making bytes 28..31 data: a mixed block.
+  std::vector<isa::Instr> P = codeAt(16);
+  P.front() = isa::sw(isa::Zero, isa::Zero, 28);
+  R = lockstepArmed(fi::Fault::KamiIcacheFillTruncated, P, 4, O);
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "icache stale at executable address 0x00000010");
+}
+
+TEST(Lockstep, StoreKeepingXAddrsIsCaught) {
+  // The stored word stays executable, but the I$ still holds the reset
+  // copy of it.
+  std::vector<isa::Instr> P = subwordStoreProgram();
+  LockstepResult R = lockstepArmed(fi::Fault::SimStoreKeepsXAddrs, P,
+                                   Word(P.size() * 4));
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "icache stale at executable address 0x0000fff0");
+}
+
+TEST(Lockstep, RamSmallerThanOneXAddrsBlock) {
+  using namespace isa;
+  LockstepOptions O;
+  O.RamBytes = 32;
+  O.MemoryCheckEvery = 1;
+  // Code only: the block's RAM part stays wholly executable.
+  std::vector<Instr> P = {addi(A0, Zero, 5), addi(A1, A0, 3)};
+  LockstepResult R = lockstep(instrencode(P), 8, noDevice(), O);
+  EXPECT_TRUE(R.Ok) << R.Error;
+  EXPECT_FALSE(R.SimulatorHitUb);
+  EXPECT_EQ(R.Retired, 2u);
+  // A store into the tail leaves a block of mixed code and data.
+  P.push_back(sw(Zero, A1, 28));
+  P.push_back(mkS(Opcode::Sb, Zero, A0, 21));
+  R = lockstep(instrencode(P), 16, noDevice(), O);
+  EXPECT_TRUE(R.Ok) << R.Error;
+  EXPECT_FALSE(R.SimulatorHitUb);
+  EXPECT_EQ(R.Retired, 4u);
+}
+
+// CompilerDiff compiles the source's bytecode once and shares it across
+// the stackalloc salts; every result must equal that of separate
+// interpreters, each compiling its own bytecode.
+TEST(CompilerDiff, SharedBytecodeMatchesPerSaltCompiles) {
+  for (bedrock2::ExecMode Mode :
+       {bedrock2::ExecMode::Fast, bedrock2::ExecMode::Differential}) {
+    for (uint64_t Seed = 300; Seed <= 330; ++Seed) {
+      b2::testing::RandomProgramGen Gen(Seed);
+      bedrock2::Program P = Gen.generate();
+      std::vector<Word> Args = {Word(Seed & 0xFF), 3};
+      DiffOptions O;
+      O.SourceMode = Mode;
+      DiffResult D = diffCompilePure(P, "main", Args, O);
+      ASSERT_TRUE(D.Ok) << "seed " << Seed << ": " << D.Error;
+
+      for (size_t S = 0; S != O.StackallocSalts.size(); ++S) {
+        riscv::NoDevice Dev;
+        bedrock2::MmioExtSpec Ext(Dev, O.RamBytes);
+        bedrock2::StackallocPolicy Policy;
+        Policy.Salt = O.StackallocSalts[S];
+        bedrock2::Interp I(P, Ext, O.SourceFuel, Policy, Mode);
+        bedrock2::ExecResult Src = I.callFunction("main", Args);
+        EXPECT_EQ(I.divergenceCount(), 0u) << I.divergence();
+        EXPECT_EQ(Src.Rets, D.Source.Rets) << "seed " << Seed;
+        EXPECT_EQ(Ext.mmioTrace(), D.SourceTrace) << "seed " << Seed;
+        if (S + 1 == O.StackallocSalts.size()) {
+          EXPECT_EQ(Src.F, D.Source.F) << "seed " << Seed;
+          EXPECT_EQ(Src.Detail, D.Source.Detail) << "seed " << Seed;
+          EXPECT_EQ(Src.StepsUsed, D.Source.StepsUsed) << "seed " << Seed;
+          EXPECT_EQ(Src.DivByZeroCount, D.Source.DivByZeroCount)
+              << "seed " << Seed;
+          EXPECT_TRUE(Src.Trace == D.Source.Trace) << "seed " << Seed;
+        }
+      }
+    }
+  }
+}
+
 TEST(Refinement, RandomInstructionSoup) {
   // Refinement holds for arbitrary programs — the Kami level has no UB.
   support::Rng Rng(0xFEED);
