@@ -7,20 +7,24 @@
 // verifies in CI — the three contracted firmware functions and the
 // annotated example corpus — once per discharge mode:
 //
-//   cold     one cold solver call per obligation (the PR-9 path)
-//   tiers    + interval/rewrite pre-solvers
-//   slice    + cone-of-influence slicing
-//   staged   + shared incremental encoding and the solved-obligation
-//            cache (the tools/vc default, 1 thread)
-//   threads4 the staged pipeline on a 4-thread fleet
+//   cold          one cold solver call per obligation (the PR-9 path)
+//   tiers         + interval/rewrite pre-solvers
+//   slice         + cone-of-influence slicing
+//   staged        + shared incremental encoding and the solved-obligation
+//                 cache (1 thread)
+//   threads4      the staged pipeline on a 4-thread fleet
+//   staged_probes the staged pipeline plus the default 16 concrete probes
+//                 of each Valid verdict: tools/vc's default, end to end
 //
 // The reported rate is discharged obligations per second. Concrete
-// probes are disabled for the timed rows: their cost is a per-function
-// constant independent of the discharge mode, and including it would
-// trend probe fuel instead of the engine. Every verdict must stay Valid
-// with zero unconfirmed models, and every mode must agree with cold —
-// a throughput number bought by a wrong verdict is a correctness bug,
-// so disagreement fails the bench.
+// probes are disabled for every row but staged_probes: their cost does
+// not depend on the discharge mode, so the discharge rows trend the
+// engine, and staged_probes trends the probe layer on top of it. That
+// row runs with metrics paused, so METRICS_vc.json's counters and the
+// ratios derived from them are untouched by it. Every verdict must stay
+// Valid with zero unconfirmed models and zero probe violations, and
+// every mode must agree with cold — a throughput number bought by a
+// wrong verdict is a correctness bug, so disagreement fails the bench.
 //
 // Gate (non-quick runs): the staged pipeline at 1 thread must discharge
 // the firmware-contract corpus at >= 3x the cold rate. The measured
@@ -44,6 +48,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -59,6 +64,7 @@ double now() {
 struct Mode {
   const char *Name;
   vc::DischargeOptions D;
+  bool Probes = false; ///< Run the default concrete probes (metrics paused).
 };
 
 struct Row {
@@ -119,6 +125,7 @@ int main(int argc, char **argv) {
       {"slice", modeOpts(true, true, false, 1)},
       {"staged", modeOpts(true, true, true, 1)},
       {"threads4", modeOpts(true, true, true, 4)},
+      {"staged_probes", modeOpts(true, true, true, 1), /*Probes=*/true},
   };
 
   const double MinSeconds = Quick ? 0.0 : 0.2;
@@ -131,7 +138,11 @@ int main(int argc, char **argv) {
     for (const Mode &M : Modes) {
       vc::VcOptions Opts;
       Opts.Discharge = M.D;
-      Opts.Probes = 0; // Probe cost is mode-independent; see header.
+      if (!M.Probes)
+        Opts.Probes = 0; // Probe cost is mode-independent; see header.
+      std::optional<metrics::PauseScope> Pause;
+      if (M.Probes)
+        Pause.emplace();
       Row R;
       R.Program = L.Program;
       R.Func = L.Func;
@@ -154,10 +165,11 @@ int main(int argc, char **argv) {
         }
       }
       if (R.Report.V != vc::Verdict::Valid || R.Report.Unconfirmed != 0 ||
-          !R.Report.Error.empty()) {
-        std::fprintf(stderr, "FAIL: %s/%s/%s expected Valid, got %s %s\n",
+          R.Report.ProbeViolations != 0 || !R.Report.Error.empty()) {
+        std::fprintf(stderr, "FAIL: %s/%s/%s expected Valid, got %s %s%s\n",
                      L.Program.c_str(), L.Func.c_str(), M.Name,
-                     vc::verdictName(R.Report.V), R.Report.Error.c_str());
+                     vc::verdictName(R.Report.V), R.Report.Error.c_str(),
+                     R.Report.CexDetail.c_str());
         AllOk = false;
       }
       // Every mode must reproduce the cold path's verdict and

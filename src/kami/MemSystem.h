@@ -27,6 +27,7 @@
 #include "riscv/Mmio.h"
 #include "verify/FaultInjection.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -103,8 +104,7 @@ public:
     if (fi::on(fi::Fault::KamiIcacheFillTruncated))
       Fill /= 2; // Seeded bug: the reset fill stops halfway; the upper
                  // lines keep their power-on zeros.
-    for (Word I = 0; I != Fill; ++I)
-      Lines[I] = Mem.readWord(I * 4);
+    std::copy_n(Mem.words().begin(), Fill, Lines.begin());
     Decoded.resize(Lines.size());
     DecodedValid.resize(Lines.size(), false);
   }

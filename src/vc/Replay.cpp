@@ -6,11 +6,13 @@
 
 #include "vc/Replay.h"
 
+#include "bedrock2/Bytecode.h"
 #include "devices/MemoryMap.h"
 #include "support/Rng.h"
 
 #include <cstring>
 #include <deque>
+#include <memory>
 
 namespace b2 {
 namespace vc {
@@ -139,6 +141,11 @@ unsigned probeValid(const bedrock2::Program &P, const std::string &Func,
     Detail = "unknown function '" + Func + "'";
     return 1;
   }
+  if (Probes == 0)
+    return 0;
+  // The probes run on the bytecode engine (a checked second witness of
+  // the reference walker), sharing one compile of the program.
+  auto Bc = std::make_shared<const bedrock2::BytecodeProgram>(P);
   unsigned Violations = 0;
   support::Rng ArgRng(Seed);
   for (unsigned N = 0; N < Probes; ++N) {
@@ -146,8 +153,8 @@ unsigned probeValid(const bedrock2::Program &P, const std::string &Func,
     for (size_t I = 0; I < F->Params.size(); ++I)
       Args.push_back(ArgRng.interestingWord());
     RandomMmioExtSpec Ext(Seed ^ (0x9e3779b9ull * (N + 1)), Opts.RamBytes);
-    bedrock2::Interp I(P, Ext, Opts.Fuel, Opts.Stack,
-                       bedrock2::ExecMode::Reference);
+    bedrock2::Interp I(P, Ext, Opts.Fuel, Opts.Stack, bedrock2::ExecMode::Fast,
+                       Bc);
     bedrock2::ExecResult R = I.callFunction(Func, Args);
     if (R.F == Fault::None || R.F == Fault::OutOfFuel)
       continue;

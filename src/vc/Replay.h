@@ -21,7 +21,12 @@
 /// seeded concrete executions (random arguments, random MMIO responses).
 /// A run that trips any contract fault means the WP generator lost an
 /// obligation — which is exactly how the seeded vc-wp-dropped-conjunct
-/// fault gets killed in the adequacy matrix.
+/// fault gets killed in the adequacy matrix. The probes run in Fast mode,
+/// on the bytecode engine (bedrock2/Bytecode.h) compiled once per
+/// probeValid() call: that engine is the checked second witness of the
+/// reference walker, reporting the same faults, details, step counts and
+/// traces. Counterexample replay, which confirms a verdict rather than
+/// searching for one, stays on the Reference walker.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -324,6 +324,123 @@ TEST(VcReplay, MidRunSelfPreconditionCountsAsProbeViolation) {
   EXPECT_NE(Detail.find("requires clause"), std::string::npos) << Detail;
 }
 
+TEST(VcReplay, EntryPreconditionRejectionHasZeroSteps) {
+  // probeValid treats PreconditionFailed with StepsUsed == 0 as a
+  // rejected entry precondition (a vacuous probe). Both engines must
+  // report the entry check before charging any step.
+  bedrock2::ParseResult PR = bedrock2::parseProgram(R"(
+    fn seven(n) -> (r)
+      requires (n == 7)
+    {
+      r = n + 1;
+    }
+  )");
+  ASSERT_TRUE(PR.ok()) << PR.Error;
+  for (bedrock2::ExecMode M :
+       {bedrock2::ExecMode::Reference, bedrock2::ExecMode::Fast}) {
+    riscv::NoDevice Dev;
+    bedrock2::MmioExtSpec Ext(Dev, 64 * 1024);
+    bedrock2::Interp I(*PR.Prog, Ext, 1'000'000,
+                       bedrock2::StackallocPolicy(), M);
+    bedrock2::ExecResult R = I.callFunction("seven", {8});
+    EXPECT_EQ(R.F, bedrock2::Fault::PreconditionFailed)
+        << bedrock2::execModeName(M);
+    EXPECT_EQ(R.StepsUsed, 0u) << bedrock2::execModeName(M);
+    R = I.callFunction("seven", {7});
+    EXPECT_EQ(R.F, bedrock2::Fault::None) << bedrock2::execModeName(M);
+    EXPECT_GT(R.StepsUsed, 0u) << bedrock2::execModeName(M);
+  }
+}
+
+namespace {
+
+/// One pinned probeValid outcome: violation count and first Detail. Every
+/// target and configuration not listed finds no violation.
+struct ProbePin {
+  const char *Target;
+  unsigned Probes;
+  uint64_t Seed;
+  unsigned Violations;
+  const char *Detail;
+};
+
+const ProbePin ProbePins[] = {
+    {"bump_bug/bump", 16, 0x5eed0001, 16,
+     "probe 0: postcondition-failed (ensures clause of 'bump')"},
+    {"bump_bug/bump", 64, 0x1, 64,
+     "probe 0: postcondition-failed (ensures clause of 'bump')"},
+    {"bump_bug/bump", 64, 0x2, 64,
+     "probe 0: postcondition-failed (ensures clause of 'bump')"},
+    {"bump_bug/bump", 64, 0x3, 64,
+     "probe 0: postcondition-failed (ensures clause of 'bump')"},
+    {"oob_bug/oob", 64, 0x1, 2,
+     "probe 6: store-outside-footprint (store4 at 0x00f00000)"},
+    {"oob_bug/oob", 64, 0x2, 1,
+     "probe 21: store-outside-footprint (store4 at 0x00f00000)"},
+    {"mmio_bug/mmio_bad", 64, 0x1, 4,
+     "probe 6: extcall-contract-violation ('MMIOWRITE': MMIO address is not "
+     "word-aligned)"},
+    {"mmio_bug/mmio_bad", 64, 0x2, 3,
+     "probe 21: extcall-contract-violation ('MMIOWRITE': MMIO address is not "
+     "word-aligned)"},
+    {"mmio_bug/mmio_bad", 64, 0x3, 4,
+     "probe 13: extcall-contract-violation ('MMIOWRITE': MMIO address is not "
+     "word-aligned)"},
+    {"callpre_bug/caller", 16, 0x5eed0001, 15,
+     "probe 1: precondition-failed (requires clause of 'need')"},
+    {"callpre_bug/caller", 64, 0x1, 53,
+     "probe 0: precondition-failed (requires clause of 'need')"},
+    {"callpre_bug/caller", 64, 0x2, 57,
+     "probe 0: precondition-failed (requires clause of 'need')"},
+    {"callpre_bug/caller", 64, 0x3, 54,
+     "probe 0: precondition-failed (requires clause of 'need')"},
+};
+
+} // namespace
+
+TEST(VcReplay, ProbeOutcomesArePinned) {
+  // The probes' observable outcome over every contracted target, under
+  // the default options and under 64 probes on three more seeds. A
+  // change of probe engine must leave every count and detail unchanged.
+  app::FirmwareOptions Fw;
+  Fw.Timeouts = true;
+  bedrock2::Program Firmware = app::buildFirmware(Fw);
+  std::vector<VcExample> Good = vcExamples();
+  std::vector<VcBugExample> Bad = vcBugExamples();
+  struct Target {
+    std::string Name, Func;
+    const bedrock2::Program *Prog;
+  };
+  std::vector<Target> Targets;
+  for (const char *Fn : {"spi_write", "spi_read", "lightbulb_loop"})
+    Targets.push_back({std::string("firmware/") + Fn, Fn, &Firmware});
+  for (const VcExample &E : Good)
+    Targets.push_back({E.Name + "/" + E.Func, E.Func, &E.Prog});
+  for (const VcBugExample &E : Bad)
+    Targets.push_back({E.Name + "/" + E.Func, E.Func, &E.Prog});
+  const VcOptions Defaults;
+  const std::pair<unsigned, uint64_t> Configs[] = {
+      {Defaults.Probes, Defaults.ProbeSeed}, {64, 1}, {64, 2}, {64, 3}};
+  size_t Checked = 0;
+  for (const Target &T : Targets) {
+    for (const auto &[Probes, Seed] : Configs) {
+      std::string Detail;
+      unsigned V = probeValid(*T.Prog, T.Func, Probes, Seed, Detail);
+      const ProbePin *Pin = nullptr;
+      for (const ProbePin &P : ProbePins)
+        if (T.Name == P.Target && P.Probes == Probes && P.Seed == Seed)
+          Pin = &P;
+      Checked += Pin != nullptr;
+      EXPECT_EQ(V, Pin ? Pin->Violations : 0u)
+          << T.Name << " probes " << Probes << " seed " << Seed;
+      EXPECT_EQ(Detail, Pin ? Pin->Detail : "")
+          << T.Name << " probes " << Probes << " seed " << Seed;
+    }
+  }
+  EXPECT_EQ(Targets.size(), 16u) << "pin the outcomes of a new target";
+  EXPECT_EQ(Checked, std::size(ProbePins)) << "a pin matched no target";
+}
+
 TEST(VcWp, FirmwareContractsDischargeStatically) {
   app::FirmwareOptions Fw;
   Fw.Timeouts = true;
