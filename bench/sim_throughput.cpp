@@ -11,7 +11,7 @@
 // rows). Each fast engine is checked against its reference through its
 // own lockstep Differential mode before any number is reported. Full
 // mode gates the block engine at >= 4.0x the stepper and the pipelined
-// fast engine at >= 1.5x tick() on the firmware end-to-end rows.
+// fast engine at >= 3.5x tick() on the firmware end-to-end rows.
 // Measurements use best-of-N windows, like interp_throughput: each
 // window is a fresh measurement and the highest throughput is kept,
 // rejecting one-sided OS noise identically for every engine. Emits
@@ -432,12 +432,13 @@ int main(int argc, char **argv) {
   double FwPipeSpeedup = ratio(ipsOf("firmware_e2e", "pipelined_fast"),
                                ipsOf("firmware_e2e", "pipelined_core"));
   // Speedup gates: the Block engine must run firmware at >= 4.0x the
-  // reference stepper, and the pipelined core's fast engine at >= 1.5x
-  // tick(). Quick mode records but does not enforce, like the overhead
-  // gate below.
+  // reference stepper, and the pipelined core's fast engine at >= 3.5x
+  // tick() (20% under the lowest of three full runs, 4.44x; see
+  // EXPERIMENTS.md). Quick mode records but does not enforce, like the
+  // overhead gate below.
   const double SpeedupGate = 4.0;
   const bool SpeedupOk = FwBlockSpeedup >= SpeedupGate;
-  const double PipeSpeedupGate = 1.5;
+  const double PipeSpeedupGate = 3.5;
   const bool PipeSpeedupOk = FwPipeSpeedup >= PipeSpeedupGate;
   std::printf("\nblock-engine speedup over the reference stepper: alu_loop "
               "%s, mem_loop %s, firmware e2e %s — %s\n",
@@ -452,9 +453,9 @@ int main(int argc, char **argv) {
               bench::withTimes(AluPipeSpeedup, 2).c_str(),
               bench::withTimes(MemPipeSpeedup, 2).c_str(),
               bench::withTimes(FwPipeSpeedup, 2).c_str(),
-              PipeSpeedupOk ? "within the 1.5x gate"
+              PipeSpeedupOk ? "within the 3.5x gate"
               : Quick       ? "under the gate (not enforced in --quick)"
-                            : "UNDER THE 1.5x GATE");
+                            : "UNDER THE 3.5x GATE");
   std::printf("differential (fast/reference lockstep): %s\n",
               DiffOk ? "identical" : "DIVERGED");
   for (const OverheadRow &O : Overhead)
@@ -546,7 +547,7 @@ int main(int argc, char **argv) {
     return 1;
   }
   if (!PipeSpeedupOk && !Quick) {
-    std::fprintf(stderr, "pipelined fast-engine speedup gate FAILED (< 1.5x "
+    std::fprintf(stderr, "pipelined fast-engine speedup gate FAILED (< 3.5x "
                          "tick() on firmware_e2e)\n");
     return 1;
   }

@@ -128,7 +128,10 @@ int main(int argc, char **argv) {
       {"staged_probes", modeOpts(true, true, true, 1), /*Probes=*/true},
   };
 
+  // Full runs time every row over at least MinCalls calls, so a row whose
+  // single call outlasts MinSeconds still carries repetitions.
   const double MinSeconds = Quick ? 0.0 : 0.2;
+  const unsigned MinCalls = Quick ? 1 : 3;
   bool AllOk = true;
   std::vector<Row> Rows;
   // ColdRep points into Rows; never let a push_back reallocate under it.
@@ -151,7 +154,7 @@ int main(int argc, char **argv) {
       R.Report = vc::verifyFunction(*L.Prog, L.Func, L.Program, Opts);
       R.Iters = 1;
       R.Seconds = now() - T0;
-      while (R.Seconds < MinSeconds) {
+      while (R.Seconds < MinSeconds || R.Iters < MinCalls) {
         double T1 = now();
         vc::FuncReport Re =
             vc::verifyFunction(*L.Prog, L.Func, L.Program, Opts);

@@ -52,7 +52,7 @@ public:
   explicit Bram(Word SizeBytes)
       : Words(checkedWords(SizeBytes), 0), IndexMask(Word(Words.size()) - 1) {}
 
-  Word sizeBytes() const { return Word(Words.size()) * 4; }
+  Word sizeBytes() const { return (IndexMask + 1) * 4; }
 
   /// Reads the aligned word containing \p Addr; high address bits wrap.
   Word readWord(Word Addr) const { return Words[wordIndex(Addr)]; }
@@ -61,13 +61,12 @@ public:
   /// lane i) into the aligned word containing \p Addr.
   void writeWord(Word Addr, uint8_t ByteEnable, Word Data) {
     Word Index = wordIndex(Addr);
+    Word Mask = 0; // Byte lane i is all ones iff bit i is enabled.
+    for (unsigned Lane = 0; Lane != 4; ++Lane)
+      if (ByteEnable & (1u << Lane))
+        Mask |= Word(0xFF) << (8 * Lane);
     Word &W = Words[Index];
-    for (unsigned Lane = 0; Lane != 4; ++Lane) {
-      if (!(ByteEnable & (1u << Lane)))
-        continue;
-      Word Mask = Word(0xFF) << (8 * Lane);
-      W = (W & ~Mask) | (Data & Mask);
-    }
+    W = (W & ~Mask) | (Data & Mask);
     Cow.markDirty(Index);
   }
 

@@ -8,8 +8,6 @@
 
 #include "verify/FaultInjection.h"
 
-#include <cassert>
-
 using namespace b2;
 using namespace b2::kami;
 using namespace b2::support;
@@ -213,103 +211,4 @@ isa::Instr b2::kami::toIsa(const DecodedInst &D) {
     return I;
   }
   return I;
-}
-
-Word b2::kami::execAlu(const DecodedInst &D, Word A, Word B) {
-  if (D.MulDiv && D.Cls == InstClass::Alu) {
-    switch (D.Funct3) {
-    case 0:
-      return A * B;
-    case 1: // mulh
-      return Word((SDWord(SWord(A)) * SDWord(SWord(B))) >> 32);
-    case 2: // mulhsu
-      return Word((SDWord(SWord(A)) * SDWord(DWord(B))) >> 32);
-    case 3: // mulhu
-      return Word((DWord(A) * DWord(B)) >> 32);
-    case 4: // div
-      if (B == 0)
-        return ~Word(0);
-      if (A == 0x80000000u && B == ~Word(0))
-        return A;
-      return Word(SWord(A) / SWord(B));
-    case 5: // divu
-      return B == 0 ? ~Word(0) : A / B;
-    case 6: // rem
-      if (B == 0)
-        return A;
-      if (A == 0x80000000u && B == ~Word(0))
-        return 0;
-      return Word(SWord(A) % SWord(B));
-    case 7: // remu
-      return B == 0 ? A : A % B;
-    }
-  }
-  bool Alt = D.AluAlt && (D.Cls == InstClass::Alu || D.Funct3 == 5);
-  switch (D.Funct3) {
-  case 0:
-    return Alt ? A - B : A + B;
-  case 1:
-    return A << (B & 31);
-  case 2:
-    if (fi::on(fi::Fault::KamiSltAsUnsigned))
-      return A < B ? 1 : 0;
-    return SWord(A) < SWord(B) ? 1 : 0;
-  case 3:
-    return A < B ? 1 : 0;
-  case 4:
-    return A ^ B;
-  case 5: {
-    unsigned Sh = B & 31;
-    if (!Alt)
-      return A >> Sh;
-    // Arithmetic right shift implemented the hardware way: replicate the
-    // sign bit.
-    Word Fill = (A & 0x80000000u) && Sh ? (~Word(0) << (32 - Sh)) : 0;
-    return (A >> Sh) | Fill;
-  }
-  case 6:
-    return A | B;
-  case 7:
-    return A & B;
-  }
-  assert(false && "unreachable: funct3 is 3 bits");
-  return 0;
-}
-
-bool b2::kami::execBranchTaken(uint8_t Funct3, Word A, Word B) {
-  switch (Funct3) {
-  case 0:
-    return A == B;
-  case 1:
-    return A != B;
-  case 4:
-    return SWord(A) < SWord(B);
-  case 5:
-    return SWord(A) >= SWord(B);
-  case 6:
-    return A < B;
-  case 7:
-    return A >= B;
-  default:
-    return false; // Illegal branch funct3s never issue.
-  }
-}
-
-Word b2::kami::execLoadExtend(uint8_t Funct3, Word Raw) {
-  switch (Funct3) {
-  case 0:
-    if (fi::on(fi::Fault::KamiLoadNoSignExtend))
-      return Raw & 0xFF;
-    return signExtend(Raw & 0xFF, 8);
-  case 1:
-    return signExtend(Raw & 0xFFFF, 16);
-  case 2:
-    return Raw;
-  case 4:
-    return Raw & 0xFF;
-  case 5:
-    return Raw & 0xFFFF;
-  default:
-    return Raw;
-  }
 }

@@ -26,6 +26,7 @@
 
 #include "isa/Instr.h"
 #include "support/Word.h"
+#include "verify/FaultInjection.h"
 
 namespace b2 {
 namespace kami {
@@ -116,17 +117,162 @@ DecodedInst decodeInst(Word Raw);
 isa::Instr toIsa(const DecodedInst &D);
 
 // -- Shared combinational execute logic -------------------------------------
+//
+// Inline: every core model calls these once per instruction.
 
 /// Register-register / register-immediate ALU result. Independent
 /// implementation from riscv/Step.cpp's ALU (checked for agreement by the
 /// property tests).
-Word execAlu(const DecodedInst &D, Word A, Word B);
+inline Word execAlu(const DecodedInst &D, Word A, Word B) {
+  if (D.MulDiv && D.Cls == InstClass::Alu) {
+    switch (D.Funct3) {
+    case 0:
+      return A * B;
+    case 1: // mulh
+      return Word((SDWord(SWord(A)) * SDWord(SWord(B))) >> 32);
+    case 2: // mulhsu
+      return Word((SDWord(SWord(A)) * SDWord(DWord(B))) >> 32);
+    case 3: // mulhu
+      return Word((DWord(A) * DWord(B)) >> 32);
+    case 4: // div
+      if (B == 0)
+        return ~Word(0);
+      if (A == 0x80000000u && B == ~Word(0))
+        return A;
+      return Word(SWord(A) / SWord(B));
+    case 5: // divu
+      return B == 0 ? ~Word(0) : A / B;
+    case 6: // rem
+      if (B == 0)
+        return A;
+      if (A == 0x80000000u && B == ~Word(0))
+        return 0;
+      return Word(SWord(A) % SWord(B));
+    default: // remu
+      return B == 0 ? A : A % B;
+    }
+  }
+  bool Alt = D.AluAlt && (D.Cls == InstClass::Alu || D.Funct3 == 5);
+  switch (D.Funct3) {
+  case 0:
+    return Alt ? A - B : A + B;
+  case 1:
+    return A << (B & 31);
+  case 2:
+    if (fi::on(fi::Fault::KamiSltAsUnsigned))
+      return A < B ? 1 : 0;
+    return SWord(A) < SWord(B) ? 1 : 0;
+  case 3:
+    return A < B ? 1 : 0;
+  case 4:
+    return A ^ B;
+  case 5: {
+    unsigned Sh = B & 31;
+    if (!Alt)
+      return A >> Sh;
+    // Arithmetic right shift implemented the hardware way: replicate the
+    // sign bit.
+    Word Fill = (A & 0x80000000u) && Sh ? (~Word(0) << (32 - Sh)) : 0;
+    return (A >> Sh) | Fill;
+  }
+  case 6:
+    return A | B;
+  default:
+    return A & B;
+  }
+}
 
 /// Branch condition evaluation.
-bool execBranchTaken(uint8_t Funct3, Word A, Word B);
+inline bool execBranchTaken(uint8_t Funct3, Word A, Word B) {
+  switch (Funct3) {
+  case 0:
+    return A == B;
+  case 1:
+    return A != B;
+  case 4:
+    return SWord(A) < SWord(B);
+  case 5:
+    return SWord(A) >= SWord(B);
+  case 6:
+    return A < B;
+  case 7:
+    return A >= B;
+  default:
+    return false; // Illegal branch funct3s never issue.
+  }
+}
+
+/// Access size in bytes of a load or store with \p Funct3 (b/bu 1, h/hu 2,
+/// w 4).
+inline unsigned memAccessSize(uint8_t Funct3) {
+  return Funct3 == 2 ? 4 : (Funct3 & 1) ? 2 : 1;
+}
 
 /// Load-result extension (byte/halfword sign/zero extension).
-Word execLoadExtend(uint8_t Funct3, Word Raw);
+inline Word execLoadExtend(uint8_t Funct3, Word Raw) {
+  switch (Funct3) {
+  case 0:
+    if (fi::on(fi::Fault::KamiLoadNoSignExtend))
+      return Raw & 0xFF;
+    return support::signExtend(Raw & 0xFF, 8);
+  case 1:
+    return support::signExtend(Raw & 0xFFFF, 16);
+  case 4:
+    return Raw & 0xFF;
+  case 5:
+    return Raw & 0xFFFF;
+  default:
+    return Raw;
+  }
+}
+
+/// The execute datapath: the one definition of each instruction class's
+/// semantics, shared by the spec core, the pipelined core's EX stage and
+/// its fast engine. Evaluates \p D at \p Pc with operands \p A and \p B
+/// and reports the effect to \p Out: Out.result(V) is the value rd
+/// receives (ALU result or link value; reported only by classes that
+/// write rd), Out.jump(T) a next pc other than Pc + 4, and
+/// Out.load(Addr) / Out.store(Addr, Data) a memory access. Returns what
+/// the memory call returns, true for the rest.
+template <typename Sink>
+inline bool datapath(const DecodedInst &D, Word Pc, Word A, Word B,
+                     Sink &Out) {
+  switch (D.Cls) {
+  case InstClass::Illegal:
+  case InstClass::Fence:
+  case InstClass::System:
+    return true; // Arbitrary-but-deterministic hardware behavior: no-op.
+  case InstClass::Lui:
+    Out.result(D.Imm);
+    return true;
+  case InstClass::Auipc:
+    Out.result(Pc + D.Imm);
+    return true;
+  case InstClass::Jal:
+    Out.result(Pc + 4);
+    Out.jump(Pc + D.Imm);
+    return true;
+  case InstClass::Jalr:
+    Out.result(Pc + 4);
+    Out.jump((A + D.Imm) & ~Word(1));
+    return true;
+  case InstClass::Branch:
+    if (execBranchTaken(D.Funct3, A, B))
+      Out.jump(Pc + D.Imm);
+    return true;
+  case InstClass::Load:
+    return Out.load(A + D.Imm);
+  case InstClass::Store:
+    return Out.store(A + D.Imm, B);
+  case InstClass::Alu:
+    Out.result(execAlu(D, A, B));
+    return true;
+  case InstClass::AluImm:
+    Out.result(execAlu(D, A, D.Imm));
+    return true;
+  }
+  return true;
+}
 
 } // namespace kami
 } // namespace b2

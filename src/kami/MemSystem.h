@@ -37,7 +37,9 @@ namespace b2 {
 namespace kami {
 
 /// Data-memory port: routes each access either to the BRAM or to the
-/// external module (recording a label).
+/// external module (recording a label). The RAM half is inline, since the
+/// cores call it once per memory instruction; the external half is out of
+/// line.
 class MemPort {
 public:
   MemPort(Bram &Mem, riscv::MmioDevice &Device) : Mem(Mem), Device(Device) {}
@@ -46,33 +48,39 @@ public:
 
   /// Performs a load; external accesses are recorded in \p Labels.
   Word load(Word Addr, unsigned Size, uint64_t Cycle, LabelTrace &Labels) {
-    if (!isExternal(Addr))
-      return laneExtract(Addr, Size, Mem.readWord(Addr));
-    // External method call on the unspecified module. Addresses no device
-    // claims still produce a call; the reply is an arbitrary (but
-    // deterministic) value.
-    Word V = Device.isMmio(Addr, Size) ? Device.load(Addr, Size) : 0;
-    Labels.push_back(Label{Label::Kind::MmioLoad, Addr, V, uint8_t(Size),
-                           Cycle});
-    return V;
+    return isExternal(Addr) ? loadExternal(Addr, Size, Cycle, Labels)
+                            : loadRam(Addr, Size);
   }
 
   /// Performs a store; external accesses are recorded in \p Labels.
   void store(Word Addr, unsigned Size, Word Value, uint64_t Cycle,
              LabelTrace &Labels) {
-    if (!isExternal(Addr)) {
-      uint8_t Be = byteEnableFor(Addr, Size);
-      if (fi::on(fi::Fault::KamiMemWrongByteEnable))
-        Be = 0xF; // Seeded bug: sub-word stores clobber the whole word.
-      Mem.writeWord(Addr, Be, laneAlign(Addr, Size, Value));
-      return;
-    }
-    Word Sent = Size == 4 ? Value : (Value & ((Word(1) << (8 * Size)) - 1));
-    if (Device.isMmio(Addr, Size))
-      Device.store(Addr, Size, Sent);
-    Labels.push_back(Label{Label::Kind::MmioStore, Addr, Sent, uint8_t(Size),
-                           Cycle});
+    if (isExternal(Addr))
+      storeExternal(Addr, Size, Value, Cycle, Labels);
+    else
+      storeRam(Addr, Size, Value);
   }
+
+  /// A load from a RAM address (!isExternal(Addr)).
+  Word loadRam(Word Addr, unsigned Size) const {
+    return laneExtract(Addr, Size, Mem.readWord(Addr));
+  }
+
+  /// A store to a RAM address (!isExternal(Addr)).
+  void storeRam(Word Addr, unsigned Size, Word Value) {
+    uint8_t Be = byteEnableFor(Addr, Size);
+    if (fi::on(fi::Fault::KamiMemWrongByteEnable))
+      Be = 0xF; // Seeded bug: sub-word stores clobber the whole word.
+    Mem.writeWord(Addr, Be, laneAlign(Addr, Size, Value));
+  }
+
+  /// An external method call on the unspecified module. Addresses no
+  /// device claims still produce a call; a load's reply is then an
+  /// arbitrary (but deterministic) value.
+  Word loadExternal(Word Addr, unsigned Size, uint64_t Cycle,
+                    LabelTrace &Labels);
+  void storeExternal(Word Addr, unsigned Size, Word Value, uint64_t Cycle,
+                     LabelTrace &Labels);
 
   Bram &bram() { return Mem; }
   const Bram &bram() const { return Mem; }
@@ -106,7 +114,7 @@ public:
                  // lines keep their power-on zeros.
     std::copy_n(Mem.words().begin(), Fill, Lines.begin());
     Decoded.resize(Lines.size());
-    DecodedValid.resize(Lines.size(), false);
+    DecodedValid.resize(Lines.size(), 0);
   }
 
   Word fetch(Word Pc) const { return Lines[(Pc / 4) & IndexMask]; }
@@ -131,9 +139,10 @@ private:
   std::vector<Word> Lines;
   Word IndexMask = 0; ///< Lines.size() - 1 (a power of two minus one).
   // Memoized decodes; mutable because filling the memo is not an
-  // architectural state change (the snapshot itself is immutable).
+  // architectural state change (the snapshot itself is immutable). The
+  // valid flags are bytes, not bits: every fetch tests one.
   mutable std::vector<DecodedInst> Decoded;
-  mutable std::vector<bool> DecodedValid;
+  mutable std::vector<uint8_t> DecodedValid;
 };
 
 } // namespace kami

@@ -235,7 +235,7 @@ void PipeEngine::runFast(uint64_t Cycles) {
                                ? 0 // Seeded bug: w = e + 1 for MMIO too.
                                : C.Config.MmioLatency;
   const ICache &IMem = C.IMem;
-  Word *Regs = C.Regs;
+  const Word *Regs = C.Regs;
 
   // The previous instruction P in program order, as the recurrence
   // needs it.
@@ -244,6 +244,7 @@ void PipeEngine::runFast(uint64_t Cycles) {
   uint64_t PMis = 0;     // 1 iff it mispredicted: the next fetch waited
                          // for its EX.
   unsigned PRd = 0;      // The register it writes; 0 for none.
+  uint64_t RetiredNow = 0, RawStalls = 0;
 
   // The latches as cycle T leaves them.
   std::optional<ExecOut> OutE2W;
@@ -251,8 +252,47 @@ void PipeEngine::runFast(uint64_t Cycles) {
   std::optional<DecodeOut> OutD2E;
   FetchOut OutF2D;
 
+  // EX verifies the fetch's prediction for every instruction (a stale BTB
+  // entry can redirect a non-control instruction) and trains the BTB; a
+  // correctly predicted instruction's training is a no-op.
+  auto Verify = [&](Word Pc, Word Pred, Word Next) {
+    PMis = Next != Pred;
+    if (PMis) {
+      ++St.Mispredicts;
+      C.trainBtb(Pc, Next);
+    }
+  };
+  // EX in cycle E through execute() and WB through retire() or the E2W
+  // latch: the chunk-edge path, for write-backs after T, external
+  // accesses and the instruction lifted from D2E. Returns the next pc.
+  auto ExecuteAtEdge = [&](const DecodedInst &D, Word Pc, Word Pred, Word A,
+                           Word B, uint64_t E) {
+    const ExecOut X = PipelinedCore::execute(D, Pc, A, B);
+    Verify(Pc, Pred, X.NextPc);
+    const bool Ext =
+        (D.Cls == InstClass::Load || D.Cls == InstClass::Store) &&
+        X.MemAddr >= RamBytes;
+    Taken.External += Ext;
+    const uint64_t W = E + 1 + (Ext ? Latency : 0);
+    // WB in cycle W, unless the chunk ends first.
+    if (W > T) {
+      OutE2W = X;
+      OutW = W;
+      St.MmioStalls += T - E;
+      ++Taken.PastChunk;
+    } else {
+      C.retire(X, W);
+      St.MmioStalls += W - E - 1;
+    }
+    PE = E;
+    PW = W;
+    PRd = D.writesRd() ? D.Rd : 0;
+    return X.NextPc;
+  };
+
   // -- Lift the latches into the recurrence ----------------------------------
   if (C.E2W) {
+    ++Taken.LiftedE2W;
     const ExecOut &X = *C.E2W;
     const bool Ext =
         (X.D.Cls == InstClass::Load || X.D.Cls == InstClass::Store) &&
@@ -273,96 +313,71 @@ void PipeEngine::runFast(uint64_t Cycles) {
   // T0 + 2. (PE = T0 + 1 above.)
   PMis = C.F2D ? 0 : 1;
   Word Pc = C.F2D ? C.F2D->Pc : C.FetchPc; // Next in program order.
-  // An instruction in D2E enters the loop at EX with its latched operands.
-  const DecodeOut *Lifted = nullptr;
-  uint64_t LiftedE = 0;
+  // An instruction in D2E enters at EX with its latched operands, unless
+  // the write-back stall holds it there for the whole chunk.
   bool Held = false;
   if (C.D2E) {
-    LiftedE = std::max(T0 + 1, PW);
-    if (LiftedE > T) {
-      // Held behind the write-back stall for the whole chunk.
-      OutD2E = *C.D2E;
+    const DecodeOut &L = *C.D2E;
+    const uint64_t E = std::max(T0 + 1, PW);
+    if (E > T) {
+      OutD2E = L;
       OutF2D = *C.F2D;
       Held = true;
     } else {
-      Lifted = &*C.D2E;
+      ++Taken.LiftedD2E;
+      Pc = ExecuteAtEdge(L.D, L.Pc, L.PredictedNext, L.A, L.B, E);
     }
   }
 
   // -- One instruction per step ----------------------------------------------
   while (!Held) {
-    const DecodedInst *D;
-    Word Pred, A, B;
-    uint64_t E;
-    if (Lifted) [[unlikely]] {
-      D = &Lifted->D;
-      Pc = Lifted->Pc;
-      Pred = Lifted->PredictedNext;
-      A = Lifted->A;
-      B = Lifted->B;
-      E = LiftedE;
-      Lifted = nullptr;
+    const DecodedInst &D = IMem.fetchDecoded(Pc);
+    const Word Pred = C.predictNext(Pc);
+    const uint64_t S = PE + PMis;
+    uint64_t Dc = S;
+    if (PRd != 0 && ((D.readsRs1() && D.Rs1 == PRd) ||
+                     (D.readsRs2() && D.Rs2 == PRd) ||
+                     (D.writesRd() && D.Rd == PRd)))
+      Dc = std::max(S, PW);
+    if (Dc > T) {
+      // Still in F2D: ID stalled on it from S through T.
+      if (S <= T)
+        RawStalls += T + 1 - S;
+      OutF2D = FetchOut{Pc, Pred, IMem.fetch(Pc)};
+      break;
+    }
+    RawStalls += Dc - S;
+    // ID read the operands in cycle Dc; P's write lands in PW. In D2E at
+    // T, either P retired by Dc = T or it retires after T: the register
+    // file as it stands is what ID read. Past EX, only read operands
+    // matter (a read operand stalls ID until PW, and the decoder zeroes
+    // a load's unread rs2 field, the one unread operand D2E latches), so
+    // the committed file is exact there too.
+    const Word A = Regs[D.Rs1];
+    const Word B = Regs[D.Rs2];
+    const uint64_t E = std::max(Dc + 1, PW);
+    if (E > T) {
+      // In D2E; IF fetched its predicted successor in cycle Dc.
+      OutD2E = DecodeOut{Pc, Pred, D, A, B};
+      OutF2D = FetchOut{Pred, C.predictNext(Pred), IMem.fetch(Pred)};
+      break;
+    }
+    // EX in cycle E and, for all but external accesses, WB in E + 1:
+    // inside the chunk, retire now.
+    Word Next;
+    if (E < T && C.retireNow(D, Pc, A, B, Next)) [[likely]] {
+      ++RetiredNow;
+      Verify(Pc, Pred, Next);
+      PE = E;
+      PW = E + 1;
+      PRd = D.writesRd() ? D.Rd : 0;
+      Pc = Next;
     } else {
-      D = &IMem.fetchDecoded(Pc);
-      Pred = C.predictNext(Pc);
-      const uint64_t S = PE + PMis;
-      uint64_t Dc = S;
-      if (PRd != 0 && ((D->readsRs1() && D->Rs1 == PRd) ||
-                       (D->readsRs2() && D->Rs2 == PRd) ||
-                       (D->writesRd() && D->Rd == PRd)))
-        Dc = std::max(S, PW);
-      if (Dc > T) {
-        // Still in F2D: ID stalled on it from S through T.
-        if (S <= T)
-          St.RawStalls += T + 1 - S;
-        OutF2D = FetchOut{Pc, Pred, IMem.fetch(Pc)};
-        break;
-      }
-      St.RawStalls += Dc - S;
-      // ID read the operands in cycle Dc; P's write lands in PW. In D2E at
-      // T, either P retired by Dc = T or it retires after T: the register
-      // file as it stands is what ID read. Past EX, only read operands
-      // matter (a read operand stalls ID until PW, and the decoder zeroes
-      // a load's unread rs2 field, the one unread operand EX latches), so
-      // the committed file is exact there too.
-      A = Regs[D->Rs1];
-      B = Regs[D->Rs2];
-      E = std::max(Dc + 1, PW);
-      if (E > T) {
-        // In D2E; IF fetched its predicted successor in cycle Dc.
-        OutD2E = DecodeOut{Pc, Pred, *D, A, B};
-        OutF2D = FetchOut{Pred, C.predictNext(Pred), IMem.fetch(Pred)};
-        break;
-      }
+      Pc = ExecuteAtEdge(D, Pc, Pred, A, B, E);
     }
-
-    // EX in cycle E.
-    const ExecOut X = PipelinedCore::execute(*D, Pc, A, B);
-    PMis = X.NextPc != Pred;
-    if (PMis) {
-      ++St.Mispredicts;
-      // A correctly predicted instruction's training is a no-op.
-      C.trainBtb(Pc, X.NextPc);
-    }
-    const bool Ext =
-        (D->Cls == InstClass::Load || D->Cls == InstClass::Store) &&
-        X.MemAddr >= RamBytes;
-    const uint64_t W = E + 1 + (Ext ? Latency : 0);
-    const unsigned Rd = D->writesRd() ? D->Rd : 0;
-    // WB in cycle W, unless the chunk ends first.
-    if (W > T) {
-      OutE2W = X;
-      OutW = W;
-      St.MmioStalls += T - E;
-    } else {
-      C.retire(X, W);
-      St.MmioStalls += W - E - 1;
-    }
-    PE = E;
-    PW = W;
-    PRd = Rd;
-    Pc = X.NextPc;
   }
+  Taken.RetireNow += RetiredNow;
+  St.RawStalls += RawStalls;
 
   // -- Rebuild the latches ---------------------------------------------------
   C.E2W = OutE2W;

@@ -28,6 +28,13 @@
 /// a correctly predicted instruction's training is a no-op, so predicting
 /// each fetch from the program-order BTB is exact.
 ///
+/// An instruction whose write-back lands inside the chunk and that makes
+/// no external access retires in one step (PipelinedCore::retireNow):
+/// one dispatch on its class through the shared kami::datapath, writing
+/// the register file and RAM directly. The chunk edges (write-back after
+/// the chunk, the latches lifted at entry) and external accesses, which
+/// pay the MMIO latency, go through tick()'s execute()/retire().
+///
 /// The engine keeps no state between run() calls. At entry it lifts the
 /// E2W (with MmioStallLeft), D2E and F2D latches into the recurrence; at
 /// the end of the chunk it rebuilds every latch — including a wrong-path
@@ -79,6 +86,18 @@ public:
   /// Differential shadow resyncs before the next chunk.
   void onRestore() { ShadowStale = true; }
 
+  /// How runFast took the instructions it executed. Most retire in one
+  /// step (PipelinedCore::retireNow); the rest are the chunk-edge cases
+  /// that go through execute() and retire() and rebuild latches.
+  struct Paths {
+    uint64_t RetireNow = 0; ///< Executed and retired in one step.
+    uint64_t LiftedE2W = 0; ///< In E2W at chunk entry.
+    uint64_t LiftedD2E = 0; ///< Executed from D2E at chunk entry.
+    uint64_t External = 0;  ///< External accesses (they pay MmioLatency).
+    uint64_t PastChunk = 0; ///< Executed, write-back after the chunk.
+  };
+  const Paths &paths() const { return Taken; }
+
   /// Differential mode: divergences seen (sticky: comparison stops after
   /// the first, preserving its detail).
   uint64_t divergences() const { return DivergenceCount; }
@@ -100,6 +119,7 @@ private:
   std::unique_ptr<ReplayDevice> Replay; ///< Differential only.
   std::unique_ptr<Bram> ShadowMem;
   std::unique_ptr<PipelinedCore> Shadow;
+  Paths Taken;
   bool ShadowStale = true;
   bool DiffDead = false;
   uint64_t DivergenceCount = 0;

@@ -29,7 +29,7 @@ PipelinedCore::PipelinedCore(Bram &Mem, riscv::MmioDevice &Device,
 void PipelinedCore::trainBtb(Word Pc, Word ActualNext) {
   if (!Config.UseBtb)
     return;
-  BtbEntry &E = Btb[(Pc / 4) & (Btb.size() - 1)];
+  BtbEntry &E = Btb[btbIndex(Pc)];
   if (ActualNext != Pc + 4) {
     E.Valid = true;
     E.Pc = Pc;

@@ -204,16 +204,26 @@ private:
       Regs[R] = V;
   }
 
-  /// The EX stage's combinational datapath: next pc, ALU/link result,
-  /// memory address and store data of \p D at \p Pc with operands
-  /// \p A and \p B. Shared by tick() and the fast engine.
+  /// The EX stage: kami::datapath into the E2W latch (next pc, ALU/link
+  /// result, memory address and store data). Shared by tick() and the
+  /// fast engine.
   static ExecOut execute(const DecodedInst &D, Word Pc, Word A, Word B);
   /// The WB stage's state update for a retiring \p W at \p Cycle: the
   /// memory access (external ones label with \p Cycle), the register
   /// write, CommitPc and the retirement count. Shared by tick() and the
   /// fast engine; the scoreboard is the caller's.
   void retire(const ExecOut &W, uint64_t Cycle);
+  /// execute() and retire() in one step, with no ExecOut in between, for
+  /// the fast engine's instructions whose write-back lands inside the
+  /// chunk. Sets \p Next to the next pc. An external access must pay the
+  /// MMIO latency instead: for one, this returns false and changes
+  /// nothing.
+  bool retireNow(const DecodedInst &D, Word Pc, Word A, Word B, Word &Next);
 
+  /// The BTB entry for \p Pc: the low word-address bits.
+  size_t btbIndex(Word Pc) const {
+    return (Pc / 4) & ((size_t(1) << Config.BtbIndexBits) - 1);
+  }
   Word predictNext(Word Pc) const;
   void trainBtb(Word Pc, Word ActualNext);
   void stageWriteback();
@@ -226,7 +236,7 @@ private:
 
 inline Word PipelinedCore::predictNext(Word Pc) const {
   if (Config.UseBtb) {
-    const BtbEntry &E = Btb[(Pc / 4) & (Btb.size() - 1)];
+    const BtbEntry &E = Btb[btbIndex(Pc)];
     if (E.Valid && E.Pc == Pc)
       return E.Target;
   }
@@ -235,59 +245,35 @@ inline Word PipelinedCore::predictNext(Word Pc) const {
 
 inline PipelinedCore::ExecOut
 PipelinedCore::execute(const DecodedInst &D, Word Pc, Word A, Word B) {
-  ExecOut Out;
-  Out.Pc = Pc;
-  Out.D = D;
-  Out.NextPc = Pc + 4;
-
-  switch (D.Cls) {
-  case InstClass::Illegal:
-  case InstClass::Fence:
-  case InstClass::System:
-    break;
-  case InstClass::Lui:
-    Out.AluResult = D.Imm;
-    break;
-  case InstClass::Auipc:
-    Out.AluResult = Pc + D.Imm;
-    break;
-  case InstClass::Jal:
-    Out.AluResult = Pc + 4;
-    Out.NextPc = Pc + D.Imm;
-    break;
-  case InstClass::Jalr:
-    Out.AluResult = Pc + 4;
-    Out.NextPc = (A + D.Imm) & ~Word(1);
-    break;
-  case InstClass::Branch:
-    if (execBranchTaken(D.Funct3, A, B))
-      Out.NextPc = Pc + D.Imm;
-    break;
-  case InstClass::Load:
-  case InstClass::Store:
-    Out.MemAddr = A + D.Imm;
-    Out.StoreData = B;
-    break;
-  case InstClass::Alu:
-    Out.AluResult = execAlu(D, A, B);
-    break;
-  case InstClass::AluImm:
-    Out.AluResult = execAlu(D, A, D.Imm);
-    break;
-  }
-  return Out;
+  struct Latch {
+    ExecOut X;
+    void result(Word V) { X.AluResult = V; }
+    void jump(Word Target) { X.NextPc = Target; }
+    bool load(Word Addr) {
+      X.MemAddr = Addr;
+      return true;
+    }
+    bool store(Word Addr, Word Data) {
+      X.MemAddr = Addr;
+      X.StoreData = Data;
+      return true;
+    }
+  };
+  Latch L;
+  L.X.Pc = Pc;
+  L.X.NextPc = Pc + 4;
+  L.X.D = D;
+  datapath(D, Pc, A, B, L);
+  return L.X;
 }
 
 inline void PipelinedCore::retire(const ExecOut &W, uint64_t Cycle) {
   if (W.D.Cls == InstClass::Load) {
-    Word Raw = Port.load(W.MemAddr, W.D.Funct3 == 2 ? 4
-                                    : (W.D.Funct3 & 1) ? 2
-                                                       : 1,
-                         Cycle, Labels);
+    Word Raw = Port.load(W.MemAddr, memAccessSize(W.D.Funct3), Cycle, Labels);
     setReg(W.D.Rd, execLoadExtend(W.D.Funct3, Raw));
   } else if (W.D.Cls == InstClass::Store) {
-    unsigned Size = W.D.Funct3 == 2 ? 4 : W.D.Funct3 == 1 ? 2 : 1;
-    Port.store(W.MemAddr, Size, W.StoreData, Cycle, Labels);
+    Port.store(W.MemAddr, memAccessSize(W.D.Funct3), W.StoreData, Cycle,
+               Labels);
   } else if (W.D.writesRd()) {
     setReg(W.D.Rd, W.AluResult);
   }
@@ -299,6 +285,38 @@ inline void PipelinedCore::retire(const ExecOut &W, uint64_t Cycle) {
          "out-of-order retirement");
   CommitPc = W.NextPc;
   ++Stats.Retired;
+}
+
+inline bool PipelinedCore::retireNow(const DecodedInst &D, Word Pc, Word A,
+                                     Word B, Word &Next) {
+  struct Commit {
+    PipelinedCore &C;
+    const DecodedInst &D;
+    Word &Next;
+    void result(Word V) { C.setReg(D.Rd, V); }
+    void jump(Word Target) { Next = Target; }
+    bool load(Word Addr) {
+      if (C.Port.isExternal(Addr))
+        return false;
+      Word Raw = C.Port.loadRam(Addr, memAccessSize(D.Funct3));
+      C.setReg(D.Rd, execLoadExtend(D.Funct3, Raw));
+      return true;
+    }
+    bool store(Word Addr, Word Data) {
+      if (C.Port.isExternal(Addr))
+        return false;
+      C.Port.storeRam(Addr, memAccessSize(D.Funct3), Data);
+      return true;
+    }
+  };
+  Next = Pc + 4;
+  Commit K{*this, D, Next};
+  if (!datapath(D, Pc, A, B, K))
+    return false;
+  assert(Pc == CommitPc && "out-of-order retirement");
+  CommitPc = Next;
+  ++Stats.Retired;
+  return true;
 }
 
 } // namespace kami

@@ -19,55 +19,28 @@ void SpecCore::tick() {
   // dropped and high bits wrap, as in the implementation. The snapshot is
   // immutable after reset, so the decode is memoized per line.
   const DecodedInst &D = IMem.fetchDecoded(Pc);
-  Word NextPc = Pc + 4;
-  Word A = getReg(D.Rs1);
-  Word B = getReg(D.Rs2);
+  // Execute and write back in the same cycle; memory goes through the
+  // shared MemPort, which labels external accesses with this cycle.
+  struct Commit {
+    SpecCore &C;
+    const DecodedInst &D;
+    Word NextPc;
+    void result(Word V) { C.setReg(D.Rd, V); }
+    void jump(Word Target) { NextPc = Target; }
+    bool load(Word Addr) {
+      Word Raw = C.Port.load(Addr, memAccessSize(D.Funct3), C.Cycles, C.Labels);
+      C.setReg(D.Rd, execLoadExtend(D.Funct3, Raw));
+      return true;
+    }
+    bool store(Word Addr, Word Data) {
+      C.Port.store(Addr, memAccessSize(D.Funct3), Data, C.Cycles, C.Labels);
+      return true;
+    }
+  };
+  Commit K{*this, D, Pc + 4};
+  datapath(D, Pc, getReg(D.Rs1), getReg(D.Rs2), K);
 
-  switch (D.Cls) {
-  case InstClass::Illegal:
-  case InstClass::Fence:
-  case InstClass::System:
-    break; // Arbitrary-but-deterministic hardware behavior: no-op.
-  case InstClass::Lui:
-    setReg(D.Rd, D.Imm);
-    break;
-  case InstClass::Auipc:
-    setReg(D.Rd, Pc + D.Imm);
-    break;
-  case InstClass::Jal:
-    setReg(D.Rd, Pc + 4);
-    NextPc = Pc + D.Imm;
-    break;
-  case InstClass::Jalr:
-    setReg(D.Rd, Pc + 4);
-    NextPc = (A + D.Imm) & ~Word(1);
-    break;
-  case InstClass::Branch:
-    if (execBranchTaken(D.Funct3, A, B))
-      NextPc = Pc + D.Imm;
-    break;
-  case InstClass::Load: {
-    Word Addr = A + D.Imm;
-    unsigned Size = D.Funct3 == 2 ? 4 : (D.Funct3 & 1) ? 2 : 1;
-    Word Raw2 = Port.load(Addr, Size, Cycles, Labels);
-    setReg(D.Rd, execLoadExtend(D.Funct3, Raw2));
-    break;
-  }
-  case InstClass::Store: {
-    Word Addr = A + D.Imm;
-    unsigned Size = D.Funct3 == 2 ? 4 : D.Funct3 == 1 ? 2 : 1;
-    Port.store(Addr, Size, B, Cycles, Labels);
-    break;
-  }
-  case InstClass::Alu:
-    setReg(D.Rd, execAlu(D, A, B));
-    break;
-  case InstClass::AluImm:
-    setReg(D.Rd, execAlu(D, A, D.Imm));
-    break;
-  }
-
-  Pc = NextPc;
+  Pc = K.NextPc;
   ++Retired;
 }
 

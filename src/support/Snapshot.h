@@ -165,7 +165,9 @@ private:
     for (uint64_t &W : Dirty)
       W = 0;
   }
-  void growTo(size_t N) {
+  // Cold: it runs once per tracker size, and kept out of line it keeps
+  // markDirty small enough to inline into per-store paths.
+  [[gnu::cold]] void growTo(size_t N) {
     PageCount = N;
     Dirty.resize((N + 63) / 64, 0);
     if (Base.size() < N)
