@@ -150,137 +150,8 @@ private:
     // Code after a StaticFault never runs but is still tracked linearly,
     // so MaxDepth can over-estimate there; that only costs slack capacity.
     BF.MaxStack = uint32_t(MaxDepth);
-    size_t InsnsIn = BF.Code.size();
-    fuse(BF);
     metrics::add(metrics::Id::InterpCompileFns);
-    metrics::add(metrics::Id::InterpCompileInsnsIn, InsnsIn);
-    metrics::add(metrics::Id::InterpCompileInsnsOut, BF.Code.size());
-  }
-
-  /// The peephole pass: each source position emits its (possibly fused)
-  /// replacement through fuseAt, which says how many instructions it
-  /// consumed; jump arguments are remapped afterwards. fuseAt only fuses
-  /// when no interior instruction of the pattern is a jump target
-  /// (targets always land on statement or loop-head boundaries, so in
-  /// practice every pattern is eligible). Fusion never increases
-  /// operand-stack depth, so MaxStack stays a valid bound.
-  static void fuse(BcFunction &BF) {
-    auto IsJump = [](const bc::Insn &I) {
-      return I.K == bc::Op::Jump || I.K == bc::Op::JumpIfZero;
-    };
-    const std::vector<bc::Insn> Old = std::move(BF.Code);
-    std::vector<uint8_t> IsTarget(Old.size() + 1, 0);
-    for (const bc::Insn &I : Old)
-      if (IsJump(I))
-        IsTarget[I.Arg] = 1;
-    std::vector<bc::Insn> New;
-    New.reserve(Old.size());
-    std::vector<uint32_t> Map(Old.size() + 1, ~uint32_t(0));
-    uint64_t Fused = 0;
-    size_t Pc = 0;
-    while (Pc < Old.size()) {
-      Map[Pc] = uint32_t(New.size());
-      size_t Consumed = fuseAt(Old, IsTarget, Pc, New);
-      Fused += Consumed > 1;
-      Pc += Consumed;
-    }
-    Map[Old.size()] = uint32_t(New.size());
-    metrics::add(metrics::Id::InterpFuseHits, Fused);
-    for (bc::Insn &I : New)
-      if (IsJump(I)) {
-        assert(Map[I.Arg] != ~uint32_t(0) && "jump into a fused pattern");
-        I.Arg = Map[I.Arg];
-      }
-    BF.Code = std::move(New);
-  }
-
-  /// Emits the (possibly fused) replacement for the sequence starting at
-  /// \p Pc into \p New; returns how many source instructions it consumed.
-  /// Longest match wins. Every fused form preserves the source order of
-  /// unbound-variable, alignment, and footprint checks, and the
-  /// division-by-zero count.
-  static size_t fuseAt(const std::vector<bc::Insn> &Old,
-                       const std::vector<uint8_t> &IsTarget, size_t Pc,
-                       std::vector<bc::Insn> &New) {
-    using bc::Op;
-    const bc::Insn &A = Old[Pc];
-    // Old[Pc+K] may join a pattern only if it exists and no jump lands on
-    // it.
-    auto Free = [&](size_t K) {
-      return Pc + K < Old.size() && !IsTarget[Pc + K];
-    };
-    const bc::Insn *B = Free(1) ? &Old[Pc + 1] : nullptr;
-    const bc::Insn *C = Free(2) ? &Old[Pc + 2] : nullptr;
-    const bc::Insn *D = Free(3) ? &Old[Pc + 3] : nullptr;
-
-    if (A.K == Op::PushVar) {
-      if (B && B->K == Op::PushVar && C && C->K == Op::Binop) {
-        if (D && D->K == Op::SetVar) {
-          New.push_back({Op::BinopVVS, C->U8, A.A,
-                         uint32_t(D->A) << 16 | B->A, A.Str, B->Str});
-          return 4;
-        }
-        New.push_back({Op::BinopVV, C->U8, A.A, B->A, A.Str, B->Str});
-        return 3;
-      }
-      if (B && B->K == Op::PushLit && C && C->K == Op::Binop) {
-        if (D && D->K == Op::SetVar) {
-          New.push_back({Op::BinopVIS, C->U8, A.A, D->A, A.Str, B->Imm});
-          return 4;
-        }
-        New.push_back({Op::BinopVI, C->U8, A.A, 0, A.Str, B->Imm});
-        return 3;
-      }
-      if (B && B->K == Op::PushVar && C && C->K == Op::StoreMem) {
-        New.push_back({Op::StoreVV, C->U8, A.A, B->A, A.Str, B->Str});
-        return 3;
-      }
-      if (B && B->K == Op::PushLit && C && C->K == Op::StoreMem) {
-        New.push_back({Op::StoreVI, C->U8, A.A, 0, A.Str, B->Imm});
-        return 3;
-      }
-      if (B && B->K == Op::LoadMem) {
-        if (C && C->K == Op::SetVar) {
-          New.push_back({Op::LoadVS, B->U8, A.A, C->A, A.Str, 0});
-          return 3;
-        }
-        New.push_back({Op::LoadV, B->U8, A.A, 0, A.Str, 0});
-        return 2;
-      }
-      if (B && B->K == Op::Binop) { // lhs already on the stack
-        if (C && C->K == Op::SetVar) {
-          New.push_back({Op::BinopSVS, B->U8, A.A, C->A, A.Str, 0});
-          return 3;
-        }
-        New.push_back({Op::BinopSV, B->U8, A.A, 0, A.Str, 0});
-        return 2;
-      }
-      if (B && B->K == Op::SetVar) {
-        New.push_back({Op::MoveVar, 0, A.A, B->A, A.Str, 0});
-        return 2;
-      }
-    } else if (A.K == Op::PushLit) {
-      if (B && B->K == Op::Binop) {
-        if (C && C->K == Op::SetVar) {
-          New.push_back({Op::BinopSIS, B->U8, C->A, 0, 0, A.Imm});
-          return 3;
-        }
-        New.push_back({Op::BinopSI, B->U8, 0, 0, 0, A.Imm});
-        return 2;
-      }
-      if (B && B->K == Op::SetVar) {
-        New.push_back({Op::SetLit, 0, B->A, 0, 0, A.Imm});
-        return 2;
-      }
-    } else if (A.K == Op::Binop && B && B->K == Op::SetVar) {
-      New.push_back({Op::BinopSS, A.U8, B->A, 0, 0, 0});
-      return 2;
-    } else if (A.K == Op::LoadMem && B && B->K == Op::SetVar) {
-      New.push_back({Op::LoadS, A.U8, B->A, 0, 0, 0});
-      return 2;
-    }
-    New.push_back(A);
-    return 1;
+    metrics::add(metrics::Id::InterpCompileInsnsIn, BF.Code.size());
   }
 
   /// Evaluates \p E at compile time when it is built purely from
@@ -798,206 +669,6 @@ bool BytecodeProgram::Exec::runFunction(uint32_t FnIdx, size_t ArgBase) {
 
   B2_OP(Return)
     goto Exit;
-
-  B2_OP(SetLit)
-    Sl[I->A] = I->Imm;
-    Bd[I->A] = 1;
-    B2_NEXT;
-
-  B2_OP(MoveVar) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const uint16_t Dst = uint16_t(I->Arg);
-    Sl[Dst] = Sl[I->A];
-    Bd[Dst] = 1;
-    B2_NEXT;
-  }
-
-  B2_OP(BinopVV) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const uint16_t BSlot = uint16_t(I->Arg);
-    if (B2_UNLIKELY(!Bd[BSlot]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Imm]);
-    const Word BV = Sl[BSlot];
-    const BinOp O = BinOp(I->U8);
-    if ((O == BinOp::Divu || O == BinOp::Remu) && BV == 0)
-      ++R.DivByZeroCount;
-    *Sp++ = evalBinOp(O, Sl[I->A], BV);
-    B2_NEXT;
-  }
-
-  B2_OP(BinopVVS) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const uint16_t BSlot = uint16_t(I->Arg);
-    if (B2_UNLIKELY(!Bd[BSlot]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Imm]);
-    const Word BV = Sl[BSlot];
-    const BinOp O = BinOp(I->U8);
-    if ((O == BinOp::Divu || O == BinOp::Remu) && BV == 0)
-      ++R.DivByZeroCount;
-    const uint16_t Dst = uint16_t(I->Arg >> 16);
-    Sl[Dst] = evalBinOp(O, Sl[I->A], BV);
-    Bd[Dst] = 1;
-    B2_NEXT;
-  }
-
-  B2_OP(BinopVI) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const BinOp O = BinOp(I->U8);
-    if ((O == BinOp::Divu || O == BinOp::Remu) && I->Imm == 0)
-      ++R.DivByZeroCount;
-    *Sp++ = evalBinOp(O, Sl[I->A], I->Imm);
-    B2_NEXT;
-  }
-
-  B2_OP(BinopVIS) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const BinOp O = BinOp(I->U8);
-    if ((O == BinOp::Divu || O == BinOp::Remu) && I->Imm == 0)
-      ++R.DivByZeroCount;
-    const uint16_t Dst = uint16_t(I->Arg);
-    Sl[Dst] = evalBinOp(O, Sl[I->A], I->Imm);
-    Bd[Dst] = 1;
-    B2_NEXT;
-  }
-
-  B2_OP(BinopSI) {
-    const Word AV = *--Sp;
-    const BinOp O = BinOp(I->U8);
-    if ((O == BinOp::Divu || O == BinOp::Remu) && I->Imm == 0)
-      ++R.DivByZeroCount;
-    *Sp++ = evalBinOp(O, AV, I->Imm);
-    B2_NEXT;
-  }
-
-  B2_OP(BinopSIS) {
-    const Word AV = *--Sp;
-    const BinOp O = BinOp(I->U8);
-    if ((O == BinOp::Divu || O == BinOp::Remu) && I->Imm == 0)
-      ++R.DivByZeroCount;
-    Sl[I->A] = evalBinOp(O, AV, I->Imm);
-    Bd[I->A] = 1;
-    B2_NEXT;
-  }
-
-  B2_OP(BinopSV) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const Word BV = Sl[I->A];
-    const Word AV = *--Sp;
-    const BinOp O = BinOp(I->U8);
-    if ((O == BinOp::Divu || O == BinOp::Remu) && BV == 0)
-      ++R.DivByZeroCount;
-    *Sp++ = evalBinOp(O, AV, BV);
-    B2_NEXT;
-  }
-
-  B2_OP(BinopSVS) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const Word BV = Sl[I->A];
-    const Word AV = *--Sp;
-    const BinOp O = BinOp(I->U8);
-    if ((O == BinOp::Divu || O == BinOp::Remu) && BV == 0)
-      ++R.DivByZeroCount;
-    const uint16_t Dst = uint16_t(I->Arg);
-    Sl[Dst] = evalBinOp(O, AV, BV);
-    Bd[Dst] = 1;
-    B2_NEXT;
-  }
-
-  B2_OP(BinopSS) {
-    const Word BV = *--Sp;
-    const Word AV = *--Sp;
-    const BinOp O = BinOp(I->U8);
-    if ((O == BinOp::Divu || O == BinOp::Remu) && BV == 0)
-      ++R.DivByZeroCount;
-    Sl[I->A] = evalBinOp(O, AV, BV);
-    Bd[I->A] = 1;
-    B2_NEXT;
-  }
-
-  B2_OP(LoadV) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const unsigned Size = I->U8;
-    const Word Addr = Sl[I->A];
-    if (B2_UNLIKELY(!isAligned(Addr, Size)))
-      B2_FAULT(MisalignedAccess,
-               "load" + std::to_string(Size) + " at " + hex32(Addr));
-    if (B2_UNLIKELY(!Mem.owns(Addr, Size)))
-      B2_FAULT(LoadOutsideFootprint,
-               "load" + std::to_string(Size) + " at " + hex32(Addr));
-    *Sp++ = Mem.readLe(Addr, Size);
-    B2_NEXT;
-  }
-
-  B2_OP(LoadVS) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const unsigned Size = I->U8;
-    const Word Addr = Sl[I->A];
-    if (B2_UNLIKELY(!isAligned(Addr, Size)))
-      B2_FAULT(MisalignedAccess,
-               "load" + std::to_string(Size) + " at " + hex32(Addr));
-    if (B2_UNLIKELY(!Mem.owns(Addr, Size)))
-      B2_FAULT(LoadOutsideFootprint,
-               "load" + std::to_string(Size) + " at " + hex32(Addr));
-    const uint16_t Dst = uint16_t(I->Arg);
-    Sl[Dst] = Mem.readLe(Addr, Size);
-    Bd[Dst] = 1;
-    B2_NEXT;
-  }
-
-  B2_OP(LoadS) {
-    const Word Addr = *--Sp;
-    if (B2_UNLIKELY(!isAligned(Addr, I->U8)))
-      B2_FAULT(MisalignedAccess,
-               "load" + std::to_string(I->U8) + " at " + hex32(Addr));
-    if (B2_UNLIKELY(!Mem.owns(Addr, I->U8)))
-      B2_FAULT(LoadOutsideFootprint,
-               "load" + std::to_string(I->U8) + " at " + hex32(Addr));
-    Sl[I->A] = Mem.readLe(Addr, I->U8);
-    Bd[I->A] = 1;
-    B2_NEXT;
-  }
-
-  B2_OP(StoreVV) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const uint16_t VSlot = uint16_t(I->Arg);
-    if (B2_UNLIKELY(!Bd[VSlot]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Imm]);
-    const unsigned Size = I->U8;
-    const Word Addr = Sl[I->A];
-    if (B2_UNLIKELY(!isAligned(Addr, Size)))
-      B2_FAULT(MisalignedAccess,
-               "store" + std::to_string(Size) + " at " + hex32(Addr));
-    if (B2_UNLIKELY(!Mem.owns(Addr, Size)))
-      B2_FAULT(StoreOutsideFootprint,
-               "store" + std::to_string(Size) + " at " + hex32(Addr));
-    Mem.writeLe(Addr, Size, Sl[VSlot]);
-    B2_NEXT;
-  }
-
-  B2_OP(StoreVI) {
-    if (B2_UNLIKELY(!Bd[I->A]))
-      B2_FAULT(UnboundVariable, BP.Strings[I->Str]);
-    const unsigned Size = I->U8;
-    const Word Addr = Sl[I->A];
-    if (B2_UNLIKELY(!isAligned(Addr, Size)))
-      B2_FAULT(MisalignedAccess,
-               "store" + std::to_string(Size) + " at " + hex32(Addr));
-    if (B2_UNLIKELY(!Mem.owns(Addr, Size)))
-      B2_FAULT(StoreOutsideFootprint,
-               "store" + std::to_string(Size) + " at " + hex32(Addr));
-    Mem.writeLe(Addr, Size, I->Imm);
-    B2_NEXT;
-  }
 #if !B2_BC_THREADED
     }
   }

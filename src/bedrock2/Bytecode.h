@@ -46,11 +46,10 @@ namespace bc {
 
 /// The full operation list as an X-macro so the enum and the executor's
 /// computed-goto jump table are generated from one source and can never
-/// fall out of order. Two groups:
-///
-/// Base ops — expressions evaluate on an operand stack in the reference
-/// walker's evaluation order; statements mirror execStmt one case at a
-/// time, including its fuel accounting:
+/// fall out of order. Expressions evaluate on an operand stack in the
+/// reference walker's evaluation order; statements mirror execStmt one
+/// case at a time, including its fuel accounting. The compiled stream
+/// is exactly what the resolution pass emits.
 ///   PushLit      push Imm.
 ///   PushVar      push slot A (fault: UnboundVariable, detail Str).
 ///   LoadMem      pop addr; push load of U8 bytes (align + footprint).
@@ -74,38 +73,12 @@ namespace bc {
 ///   CheckPost    pop; fault PostconditionFailed if 0 (detail Str).
 ///   CollectRet   append slot A to the return tuple (Str if unbound).
 ///   Return       function epilogue.
-///
-/// Fused superinstructions, produced by the one peephole pass. Each has
-/// the same net stack effect and raises the identical fault sequence
-/// (kind, detail, order) as the ops it replaces — the differential
-/// harness holds for fused code too. Naming: V = slot operand, I =
-/// immediate, trailing S = result stored to a slot (else pushed), lone
-/// leading S = left operand from the operand stack:
-///   SetLit     slot A = Imm.
-///   MoveVar    slot Arg = slot A (unbound detail Str).
-///   BinopVV    push (slot A op slot Arg); details Str, Imm.
-///   BinopVVS   slot (Arg>>16) = slot A op slot (Arg&0xFFFF); details
-///              Str, Imm.
-///   BinopVI    push (slot A op Imm); detail Str.
-///   BinopVIS   slot Arg = slot A op Imm; detail Str.
-///   BinopSI    push (pop() op Imm).
-///   BinopSIS   slot A = pop() op Imm.
-///   BinopSV    push (pop() op slot A); detail Str.
-///   BinopSVS   slot Arg = pop() op slot A; detail Str.
-///   BinopSS    slot A = lhs op rhs, both popped.
-///   LoadV      push load{U8}(slot A); detail Str.
-///   LoadVS     slot Arg = load{U8}(slot A); detail Str.
-///   LoadS      slot A = load{U8}(pop()).
-///   StoreVV    store{U8}(slot A, slot Arg); details Str, Imm.
-///   StoreVI    store{U8}(slot A, Imm); detail Str.
 #define B2_BC_OP_LIST(X)                                                     \
   X(PushLit) X(PushVar) X(LoadMem) X(Binop) X(SetVar) X(StoreMem) X(Jump)    \
   X(JumpIfZero) X(StepStmt) X(StepLoop) X(CheckInv) X(MeasReset)             \
   X(MeasCheck) X(CallBind) X(CallDrop) X(InteractExt) X(EnterAlloc)          \
   X(LeaveAlloc) X(StaticFault) X(CheckPre) X(CheckPost) X(CollectRet)        \
-  X(Return) X(SetLit) X(MoveVar) X(BinopVV) X(BinopVVS) X(BinopVI)           \
-  X(BinopVIS) X(BinopSI) X(BinopSIS) X(BinopSV) X(BinopSVS) X(BinopSS)       \
-  X(LoadV) X(LoadVS) X(LoadS) X(StoreVV) X(StoreVI)
+  X(Return)
 
 enum class Op : uint8_t {
 #define B2_BC_OP_ENUM(N) N,

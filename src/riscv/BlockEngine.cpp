@@ -308,20 +308,7 @@ int32_t BlockEngine::translate(Word HeadPc) {
         Stop = 1;
       } else if (I.Op == Opcode::Lw && I.Rd != 0) {
         isa::Instr N;
-        bool HaveN = Fetch(Pc + 4, N);
-        if (HaveN && N.Op == Opcode::Sw && N.Rs2 == I.Rd && N.Rs1 != I.Rd) {
-          // Copy idiom: lw immediately stored by sw. Requiring the store
-          // base to differ from the loaded register keeps the store
-          // address computable before the pair commits.
-          U.K = UOp::FusedLwSw;
-          U.Rs2 = N.Rs1;
-          U.Aux = Word(N.Imm);
-          Cover(Pc);
-          Cover(Pc + 4);
-          B.Ops.push_back(U);
-          Weight += 2;
-          Pc += 8;
-        } else if (HaveN && N.Op == Opcode::Lw && N.Rd != 0) {
+        if (Fetch(Pc + 4, N) && N.Op == Opcode::Lw && N.Rd != 0) {
           // Reload burst: two word loads in one dispatch, committed in
           // order so the second base may be the first's destination.
           U.K = UOp::FusedLwLw;
@@ -454,47 +441,7 @@ int32_t BlockEngine::translate(Word HeadPc) {
     }
   }
 
-  // Self-loop unrolling: a block whose terminator branches straight back
-  // to its own head pays the full chain transition on every iteration of
-  // what is usually a tight copy or counter loop. Duplicating the body —
-  // all copies are identical micro-ops, same pcs — amortizes that cost
-  // across MaxBlockWeight instructions. Every terminator but the last
-  // becomes its continue twin: taken falls through into the next copy.
-  unsigned EntryWeight = Weight;
-  if (Weight != 0 && Weight * 2 <= MaxBlockWeight) {
-    UOp Cont = UOp::SideExit; // Sentinel: terminator has no continue twin.
-    switch (B.Ops.back().K) {
-    case UOp::Bne:
-      Cont = UOp::BneCont;
-      break;
-    case UOp::Beq:
-      Cont = UOp::BeqCont;
-      break;
-    case UOp::Branch:
-      Cont = UOp::BranchCont;
-      break;
-    case UOp::FusedAddiBranch:
-      Cont = UOp::FusedAddiBranchCont;
-      break;
-    case UOp::FusedAddBranch:
-      Cont = UOp::FusedAddBranchCont;
-      break;
-    default:
-      break;
-    }
-    if (Cont != UOp::SideExit && B.Ops.back().Aux == HeadPc) {
-      unsigned Copies = MaxBlockWeight / Weight;
-      std::vector<MicroOp> Body(B.Ops);
-      for (unsigned C = 1; C != Copies; ++C) {
-        B.Ops.back().K = Cont;
-        B.Ops.insert(B.Ops.end(), Body.begin(), Body.end());
-      }
-      Weight *= Copies;
-    }
-  }
-
   B.Count = Weight;
-  B.EntryCount = EntryWeight;
   std::sort(B.Words.begin(), B.Words.end());
   B.Words.erase(std::unique(B.Words.begin(), B.Words.end()), B.Words.end());
 
@@ -519,10 +466,7 @@ uint64_t BlockEngine::execTraces(size_t Bi, uint64_t Budget) {
   // call, not once per pass.
   Word *R = M.Regs; // x0 stays 0: translation never emits an x0 write.
   uint64_t Done = 0; // Retired across completed passes.
-  uint64_t Ret = 0;    // Retired in the current pass.
-  uint64_t RetCap = 0; // Budget ceiling for the pass: continue twins
-                       // stop an unrolled self-loop before the next
-                       // body copy would overshoot the chunk budget.
+  uint64_t Ret = 0;  // Retired in the current pass.
   Word Addr = 0;
   Word NextPc = 0;
   Word ExitPc = 0;
@@ -542,14 +486,14 @@ uint64_t BlockEngine::execTraces(size_t Bi, uint64_t Budget) {
   // Must match the UOp enumerator order exactly.
   static const void *const Tab[] = {
       &&L_Nop,          &&L_LoadConst, &&L_Addi,   &&L_AluImm,
-      &&L_AluReg,       &&L_Load,      &&L_Store,  &&L_FusedLwSw,
-      &&L_FusedAddiBranch, &&L_Branch, &&L_Jal,    &&L_Jalr,
-      &&L_SideExit,     &&L_LoadW,     &&L_StoreW, &&L_Add,
-      &&L_Sub,          &&L_And,       &&L_Sltu,   &&L_Srl,
-      &&L_Bne,          &&L_Beq,       &&L_FusedAddBranch,
-      &&L_BneCont,      &&L_BeqCont,   &&L_BranchCont,
-      &&L_FusedAddiBranchCont, &&L_FusedAddBranchCont,
-      &&L_FusedSwSw,    &&L_FusedAddiAddi, &&L_FusedLwLw};
+      &&L_AluReg,       &&L_Load,      &&L_Store,  &&L_FusedAddiBranch,
+      &&L_Branch,       &&L_Jal,       &&L_Jalr,   &&L_SideExit,
+      &&L_LoadW,        &&L_StoreW,    &&L_Add,    &&L_Sub,
+      &&L_And,          &&L_Sltu,      &&L_Srl,    &&L_Bne,
+      &&L_Beq,          &&L_FusedAddBranch,        &&L_FusedSwSw,
+      &&L_FusedAddiAddi, &&L_FusedLwLw};
+  static_assert(sizeof(Tab) / sizeof(Tab[0]) == size_t(UOp::FusedLwLw) + 1,
+                "one label per micro-op kind");
 #define B2_DISPATCH() goto *Tab[unsigned((U = Op++)->K)]
 #else
 #define B2_DISPATCH() goto dispatch
@@ -560,7 +504,6 @@ enter_block:
   CurBlock = int32_t(Bi);
   CurKilled = false;
   Ret = 0;
-  RetCap = Budget - Done;
   UseJalrCache = false;
   Op = B->Ops.data();
   B2_DISPATCH();
@@ -583,8 +526,6 @@ dispatch:
     goto L_Load;
   case UOp::Store:
     goto L_Store;
-  case UOp::FusedLwSw:
-    goto L_FusedLwSw;
   case UOp::FusedAddiBranch:
     goto L_FusedAddiBranch;
   case UOp::Branch:
@@ -615,16 +556,6 @@ dispatch:
     goto L_Beq;
   case UOp::FusedAddBranch:
     goto L_FusedAddBranch;
-  case UOp::BneCont:
-    goto L_BneCont;
-  case UOp::BeqCont:
-    goto L_BeqCont;
-  case UOp::BranchCont:
-    goto L_BranchCont;
-  case UOp::FusedAddiBranchCont:
-    goto L_FusedAddiBranchCont;
-  case UOp::FusedAddBranchCont:
-    goto L_FusedAddBranchCont;
   case UOp::FusedSwSw:
     goto L_FusedSwSw;
   case UOp::FusedAddiAddi:
@@ -824,33 +755,6 @@ L_FusedSwSw: {
   B2_DISPATCH();
 }
 
-L_FusedLwSw: {
-  Addr = R[U->Rs1] + Word(U->Imm);
-  Word StoreAddr = R[U->Rs2] + U->Aux;
-  if (Addr > RamWordMax || (Addr & 3) != 0 || StoreAddr > RamWordMax ||
-      (StoreAddr & 3) != 0) {
-    // Both guards checked before either half commits; the stepper re-runs
-    // the (idempotent) load and owns the store\'s verdict.
-    ExitPc = U->InstrPc;
-    goto side_exit;
-  }
-  Word V = M.loadWordFast(Addr);
-  R[U->Rd] = V;
-  Ret += 2;
-  Stats.FusedRetired += 2;
-  if (M.storeWordNoNotify(StoreAddr, V) &&
-      (CoverBits[size_t(StoreAddr >> 2) >> 6] &
-       (uint64_t(1) << (size_t(StoreAddr >> 2) & 63))) != 0) {
-    onInvalidate(size_t(StoreAddr >> 2), size_t(StoreAddr >> 2));
-    if (CurKilled) {
-      ExitPc = U->InstrPc + 8;
-      ExitReason = ExKilled;
-      goto side_exit;
-    }
-  }
-  B2_DISPATCH();
-}
-
 L_FusedLwLw: {
   Addr = R[U->Rs1] + Word(U->Imm);
   if (Addr > RamWordMax || (Addr & 3) != 0) {
@@ -958,97 +862,6 @@ L_Beq:
   }
   goto chain;
 
-  // Continue twins of the terminators above, for unrolled self-loops:
-  // taken continues into the next body copy without a chain transition.
-L_BneCont:
-  ++Ret;
-  if (R[U->Rs1] != R[U->Rs2]) {
-    if (Ret + B->EntryCount <= RetCap)
-      B2_DISPATCH();
-    NextPc = U->Aux; // == HeadPc: re-enter next chunk, budget allowing.
-    LinkSlot = &B->LinkTaken;
-    goto chain;
-  }
-  NextPc = U->InstrPc + 4;
-  LinkSlot = &B->LinkFall;
-  goto chain;
-
-L_BeqCont:
-  ++Ret;
-  if (R[U->Rs1] == R[U->Rs2]) {
-    if (Ret + B->EntryCount <= RetCap)
-      B2_DISPATCH();
-    NextPc = U->Aux;
-    LinkSlot = &B->LinkTaken;
-    goto chain;
-  }
-  NextPc = U->InstrPc + 4;
-  LinkSlot = &B->LinkFall;
-  goto chain;
-
-L_BranchCont:
-  ++Ret;
-  if (exec::branchTaken(U->Op, R[U->Rs1], R[U->Rs2])) {
-    if (Ret + B->EntryCount <= RetCap)
-      B2_DISPATCH();
-    NextPc = U->Aux;
-    LinkSlot = &B->LinkTaken;
-    goto chain;
-  }
-  NextPc = U->InstrPc + 4;
-  LinkSlot = &B->LinkFall;
-  goto chain;
-
-L_FusedAddiBranchCont: {
-  Word Pre = R[U->Rd];
-  R[U->Rd] = R[U->Rs1] + Word(U->Imm);
-  Word A = R[U->Rs2];
-  Word Bv = R[U->R3];
-  if (fi::on(fi::Fault::SimBlockFusedClobber)) {
-    if (U->Rs2 == U->Rd)
-      A = Pre;
-    if (U->R3 == U->Rd)
-      Bv = Pre;
-  }
-  Ret += 2;
-  Stats.FusedRetired += 2;
-  if (exec::branchTaken(U->Op, A, Bv)) {
-    if (Ret + B->EntryCount <= RetCap)
-      B2_DISPATCH();
-    NextPc = U->Aux;
-    LinkSlot = &B->LinkTaken;
-    goto chain;
-  }
-  NextPc = U->InstrPc + 8;
-  LinkSlot = &B->LinkFall;
-  goto chain;
-}
-
-L_FusedAddBranchCont: {
-  Word Pre = R[U->Rd];
-  R[U->Rd] = R[U->Rs1] + R[U->Rs2];
-  Word A = R[U->R3];
-  Word Bv = R[uint8_t(U->Imm)];
-  if (fi::on(fi::Fault::SimBlockFusedClobber)) {
-    if (U->R3 == U->Rd)
-      A = Pre;
-    if (uint8_t(U->Imm) == U->Rd)
-      Bv = Pre;
-  }
-  Ret += 2;
-  Stats.FusedRetired += 2;
-  if (exec::branchTaken(U->Op, A, Bv)) {
-    if (Ret + B->EntryCount <= RetCap)
-      B2_DISPATCH();
-    NextPc = U->Aux;
-    LinkSlot = &B->LinkTaken;
-    goto chain;
-  }
-  NextPc = U->InstrPc + 8;
-  LinkSlot = &B->LinkFall;
-  goto chain;
-}
-
 L_Jal:
   if (U->Rd)
     R[U->Rd] = U->InstrPc + 4;
@@ -1103,7 +916,7 @@ chain:
         ++Stats.LinkHits;
       }
     }
-    if (Ni >= 0 && uint64_t(Blocks[size_t(Ni)].EntryCount) <= Budget - Done) {
+    if (Ni >= 0 && uint64_t(Blocks[size_t(Ni)].Count) <= Budget - Done) {
       Bi = size_t(Ni);
       goto enter_block;
     }
@@ -1142,7 +955,7 @@ uint64_t BlockEngine::runBlocks(uint64_t MaxSteps) {
     int32_t Bi = blockAt(Pc);
     if (Bi < 0)
       Bi = maybeTranslate(Pc);
-    if (Bi >= 0 && uint64_t(Blocks[size_t(Bi)].EntryCount) <= MaxSteps - Done) {
+    if (Bi >= 0 && uint64_t(Blocks[size_t(Bi)].Count) <= MaxSteps - Done) {
       uint64_t T = execTraces(size_t(Bi), MaxSteps - Done);
       Done += T;
       if (T > 0)

@@ -8,12 +8,15 @@
 /// A two-tier execution engine for the software-oriented RISC-V machine.
 /// The first tier is the reference stepper (riscv/Step.h); the second
 /// tier discovers hot basic blocks through per-word heat counters,
-/// translates them into contiguous threaded micro-op traces (with fused
-/// idioms for addi/branch counter loops and lw/sw copy pairs, and with
-/// unconditional jumps — calls included, their link-register write folded
-/// to a translation-time constant — followed straight through), and
-/// chains translated blocks through direct block linking so that
-/// steady-state loops never leave trace execution.
+/// translates them into contiguous threaded micro-op traces (with
+/// opcode-specialised kinds for the hottest ALU ops and branches, fused
+/// pairs for addi/branch and add/branch loop tails and for addi/addi,
+/// sw/sw and lw/lw bursts, and with unconditional jumps — calls
+/// included, their link-register write folded to a translation-time
+/// constant — followed straight through), and chains translated blocks
+/// through direct block linking so that steady-state loops never leave
+/// trace execution. A block is one pass over its instructions; a loop
+/// re-enters its own head through the taken link.
 ///
 /// The engine is a *performance* layer, never a *semantics* layer: every
 /// micro-op reuses the semantic kernels of riscv/Exec.h (fault-injection
@@ -135,7 +138,6 @@ private:
     AluReg,          ///< Rd = alu(Op, Rs1, Rs2).
     Load,            ///< Rd = extend(Op, mem[Rs1 + Imm]); MMIO-guarded.
     Store,           ///< mem[Rs1 + Imm] = Rs2; MMIO-guarded.
-    FusedLwSw,       ///< Rd = mem[Rs1+Imm]; mem[Rs2+Aux] = Rd. Retires 2.
     FusedAddiBranch, ///< Rd = Rs1+Imm; branch Op on (Rs2, R3). Retires 2.
     Branch,          ///< Terminator: taken -> Aux, else InstrPc + 4.
     Jal,             ///< Terminator: link InstrPc+4, jump to Aux.
@@ -161,17 +163,6 @@ private:
                      ///< the second branch operand's register number
                      ///< carried in Imm (the add uses no immediate).
                      ///< Retires 2.
-    // Continue twins for self-loop unrolling: a block whose terminator
-    // branches straight back to its own head is duplicated up to
-    // MaxBlockWeight instructions, and every terminator but the last
-    // becomes its continue twin — taken falls through into the next
-    // copy, not-taken leaves through the fall-through link. Semantics
-    // are identical to the terminator they replace.
-    BneCont,             ///< Bne taken -> next micro-op.
-    BeqCont,             ///< Beq taken -> next micro-op.
-    BranchCont,          ///< Generic branch taken -> next micro-op.
-    FusedAddiBranchCont, ///< FusedAddiBranch taken -> next micro-op.
-    FusedAddBranchCont,  ///< FusedAddBranch taken -> next micro-op.
     // Straight-line pair fusions for the dominant o0 runs (stack spills
     // and address arithmetic come in bursts), halving dispatches there.
     FusedSwSw,       ///< mem[Rs1+Imm] = Rs2; mem[R3+Aux] = Rd-as-reg.
@@ -204,13 +195,8 @@ private:
   /// rd=x0 followed through at translation time) ending in a terminator.
   struct Block {
     Word HeadPc = 0;
-    uint32_t Count = 0;      ///< Instructions a full pass retires.
-    uint32_t EntryCount = 0; ///< Budget needed to enter: one body copy
-                             ///< for an unrolled self-loop (continue
-                             ///< twins re-check before each further
-                             ///< copy), Count otherwise — so unrolling
-                             ///< never shrinks the hot-execution window
-                             ///< a chunked budget allows.
+    uint32_t Count = 0; ///< Instructions a full pass retires; also the
+                        ///< budget a chunk needs left to enter.
     bool Valid = true;
     int32_t LinkTaken = -1;      ///< Direct link: taken / unconditional.
     int32_t LinkFall = -1;       ///< Direct link: fall-through.

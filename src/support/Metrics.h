@@ -80,8 +80,6 @@ namespace metrics {
   /* bedrock2: bytecode interpreter */                                         \
   X(InterpCompileFns, "interp.compile.functions", Counter, Det)                \
   X(InterpCompileInsnsIn, "interp.compile.insns_in", Counter, Det)             \
-  X(InterpCompileInsnsOut, "interp.compile.insns_out", Counter, Det)           \
-  X(InterpFuseHits, "interp.fuse.hits", Counter, Det)                          \
   X(InterpExecRuns, "interp.exec.runs", Counter, Det)                          \
   X(InterpExecSteps, "interp.exec.steps", Counter, Det)                        \
   /* traffic: soak harness + streaming monitor */                              \

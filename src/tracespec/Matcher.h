@@ -114,8 +114,8 @@ public:
     struct Snapshot {
       std::vector<uint32_t> Current;
       std::vector<uint32_t> Matched;
-      size_t Consumed;
-      bool Dead;
+      size_t Consumed = 0;
+      bool Dead = false;
     };
 
     Snapshot snapshot() const {

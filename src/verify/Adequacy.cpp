@@ -228,25 +228,25 @@ bool interpDiffFails(const char *Src, const char *Fn,
 
 std::vector<Stim> interpDiffStims() {
   return {
-      // Countdown loop: a Sub latch (BinopVIS) under a variable loop test,
-      // covering the loop charges and the fused assignment forms.
+      // Countdown loop: a Sub latch (`i = i - 1`) under a variable loop
+      // test, covering the loop charges and assignments from Binop.
       {"countdown-loop", [](std::string &D) {
          return interpDiffFails(
              "fn f() -> (r) { r = 0; i = 8;"
              "  while (i) { r = r + i; i = i - 1; } }",
              "f", {}, D);
        }},
-      // Comparison-headed loop (BinopVI feeding the loop's JumpIfZero).
+      // Comparison-headed loop (a Binop result feeding the loop's
+      // JumpIfZero).
       {"counted-loop", [](std::string &D) {
          return interpDiffFails(
              "fn f() -> (r) { r = 0; i = 0;"
              "  while (i < 10) { r = r + 2; i = i + 1; } }",
              "f", {}, D);
        }},
-      // Division and remainder by zero (DivByZeroCount bookkeeping).
-      // Covers both the fused variable-variable fast path (a / b) and the
-      // generic stack Binop op: a load-result divisor defeats the
-      // peephole fusion, so `a / load4(p)` divides on the plain Binop.
+      // Division and remainder by zero (DivByZeroCount bookkeeping), with
+      // divisors read from a variable and from memory; all four go
+      // through the one Binop handler.
       {"div-by-zero", [](std::string &D) {
          return interpDiffFails(
              "fn f(a, b) -> (r) { stackalloc p[4] {"
@@ -668,13 +668,14 @@ std::vector<Stim> snapDiffStims() {
 // (riscv/BlockEngine.h) runs hand-assembled programs against the
 // reference stepper, and any mismatch in registers, pc, RAM, UB verdict,
 // retirement count, or MMIO events is a kill; those stimuli are chosen so
-// every engine fast path — fused addi/branch counters, fused lw/sw copy
-// pairs, block linking, and the stale-superblock invalidation discipline
-// — changes an observable the lockstep compares. The pipelined core's
-// instruction-stepped engine (kami/PipeEngine.h) runs an MMIO loop
-// against tick() on a shadow core, and any mismatch in the whole core
-// state — cycle counts and stall counters, latches, BTB, labels with
-// their cycles — or the BRAM is a kill.
+// every engine fast path — fused addi/branch counters, fused addi/addi
+// pointer bumps, inline word loads and stores, block linking, and the
+// stale-superblock invalidation discipline — changes an observable the
+// lockstep compares. The pipelined core's instruction-stepped engine
+// (kami/PipeEngine.h) runs an MMIO loop against tick() on a shadow core,
+// and any mismatch in the whole core state — cycle counts and stall
+// counters, latches, BTB, labels with their cycles — or the BRAM is a
+// kill.
 
 bool blockDiffFails(const std::vector<isa::Instr> &P, std::string &Detail,
                     uint64_t MaxSteps = 20'000, uint64_t Chunk = 97) {
@@ -731,14 +732,15 @@ std::vector<Stim> blockDiffStims() {
          P.push_back(jal(Zero, 0));                  // Halt spin.
          return blockDiffFails(P, D);
        }},
-      // A word-copy loop: lw/sw pairs fuse, and the trailing counter
-      // keeps the block hot across many passes of linked execution.
+      // A word-copy loop: inline lw and sw, fused addi/addi cursor bumps,
+      // and a trailing counter that keeps the block hot across many
+      // passes of linked execution.
       {"copy-loop", [](std::string &D) {
          std::vector<Instr> P;
          P.push_back(addi(A1, Zero, 0x400)); // Source cursor.
          P.push_back(addi(A2, Zero, 0x600)); // Destination cursor.
          P.push_back(addi(A3, Zero, 64));    // Words to copy.
-         P.push_back(lw(A4, A1, 0));         // Loop head; fuses with sw.
+         P.push_back(lw(A4, A1, 0));         // Loop head.
          P.push_back(sw(A2, A4, 0));
          P.push_back(addi(A1, A1, 4));
          P.push_back(addi(A2, A2, 4));

@@ -89,12 +89,13 @@ std::vector<Instr> counterLoop(SWord N) {
 }
 
 /// Copies 64 words from 0x400 to 0x600 with an lw/sw pair, then spins.
+/// The pointer bumps fuse as addi/addi, the counter as addi/bne.
 std::vector<Instr> copyLoop() {
   return {
       addi(A0, Zero, 0x400),
       addi(A1, Zero, 0x600),
       addi(A2, Zero, 64),
-      lw(A3, A0, 0),               // pc 12: loop head; fuses with the sw.
+      lw(A3, A0, 0),               // pc 12: loop head.
       sw(A1, A3, 0),
       addi(A0, A0, 4),
       addi(A1, A1, 4),
@@ -159,7 +160,7 @@ TEST(BlockEngine, HotCounterLoopMatchesReference) {
   EXPECT_GT(Blk.Stats.TraceInstrs, Blk.Stats.ColdInstrs);
 }
 
-TEST(BlockEngine, CopyLoopFusesLwSwPairs) {
+TEST(BlockEngine, CopyLoopMatchesReferenceThroughFusedPairs) {
   NoDevice D1, D2;
   auto Seed = [](Machine &M) {
     for (Word I = 0; I != 64; ++I)
@@ -174,7 +175,8 @@ TEST(BlockEngine, CopyLoopFusesLwSwPairs) {
   E.run(500);
   expectSameArchState(Blk, Ref);
   EXPECT_EQ(Blk.readRam(0x600 + 4 * 63, 4), 0xBEEF0000u + 63u);
-  // Both the lw/sw pair and the addi/bne counter fuse in this loop.
+  // The addi/addi pointer bumps and the addi/bne counter fuse in this
+  // loop; the lw/sw pair runs as LoadW/StoreW.
   EXPECT_GT(E.stats().FusedRetired, 64u);
 }
 

@@ -19,6 +19,7 @@
 #include "devices/Net.h"
 #include "devices/Platform.h"
 #include "riscv/Mmio.h"
+#include "verify/FaultInjection.h"
 #include "RandomProgram.h"
 
 #include <gtest/gtest.h>
@@ -299,6 +300,25 @@ TEST(BytecodeParity, DivByZeroCountMatches) {
   ExecResult R = runParity(P, "f", {0});
   EXPECT_EQ(R.F, Fault::None);
   EXPECT_EQ(R.DivByZeroCount, 2u);
+}
+
+TEST(BytecodeParity, DivCountSkipFaultReachesEveryDivision) {
+  // The seeded bc-div-count-skip fault lives in the one Binop handler, so
+  // a variable-variable division assigned straight to a local must lose
+  // its count too, and Differential must report the difference.
+  Program P = parseOrDie(R"(
+    fn f(a, b) -> (r) { r = a / b; }
+  )");
+  riscv::NoDevice Dev;
+  MmioExtSpec Ext(Dev, 64 * 1024);
+  fi::FaultPlan Plan = fi::FaultPlan::single(fi::Fault::BcDivCountSkip);
+  fi::FaultScope Scope(Plan);
+  Interp Diff(P, Ext, 1'000'000, StackallocPolicy(), ExecMode::Differential);
+  Diff.callFunction("f", {7, 0});
+  EXPECT_EQ(Diff.divergenceCount(), 1u);
+  EXPECT_NE(Diff.divergence().find("DivByZeroCount: reference 1 vs fast 0"),
+            std::string::npos)
+      << Diff.divergence();
 }
 
 TEST(BytecodeParity, StackallocZeroedAndPlacementMatches) {

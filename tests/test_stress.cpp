@@ -473,9 +473,9 @@ TEST(BlockEngineFuzz, FusedClobberFaultDivergesOnEverySeed) {
     P.push_back(jal(Zero, 0));
     fi::FaultScope Scope(Plan);
     // A trace only runs when its full-pass retirement count fits the
-    // remaining step budget, and a hot loop superblock unrolls up to 64
-    // instructions — chunks must clear that or the engine cold-steps
-    // forever and the seeded trace fault stays dormant.
+    // remaining step budget; chunks of 72 to 256 steps leave room for
+    // many passes of the two-instruction loop, so the seeded trace fault
+    // fires once the block goes hot.
     LockstepOutcome D = runLockstep(P, 20'000, R.range(72, 257));
     EXPECT_GT(D.Divergences, 0u) << "trial " << Trial;
     EXPECT_FALSE(D.Detail.empty());

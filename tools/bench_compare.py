@@ -20,7 +20,7 @@ job.
 Alongside raw throughput, the guard trends *derived metrics* computed
 from the METRICS_*.json reports the bench binaries emit (schema
 b2stack-metrics-v1): trace-cache hit rate, side-exit rate, link hit
-rate, interpreter fusion, soak delivery health. Ratios are robust to
+rate, interpreter steps per run, soak delivery health. Ratios are robust to
 workload-size changes, so drift means behavior changed, not that the
 bench ran longer. Drift is judged symmetrically — a hit rate that
 jumps UP 30% is as suspicious as one that drops (it usually means the
@@ -94,11 +94,6 @@ def _derived_sim(c):
 
 def _derived_interp(c):
     return {
-        # Bytecode compression: fused output stream vs source statements.
-        "compile_out_per_in": _rate(c.get("interp.compile.insns_out"),
-                                    c.get("interp.compile.insns_in")),
-        "fuse_hits_per_insn": _rate(c.get("interp.fuse.hits"),
-                                    c.get("interp.compile.insns_in")),
         "steps_per_run": _rate(c.get("interp.exec.steps"),
                                c.get("interp.exec.runs")),
     }

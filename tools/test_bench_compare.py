@@ -202,6 +202,28 @@ class TestMetricsTrend(CompareHarness):
         rc, _, _ = self.run_compare("--metrics-fail", "0.12")
         self.assertEqual(rc, 1)
 
+    def test_interp_metrics_compare_steps_per_run(self):
+        def interp_metrics(steps):
+            doc = sim_metrics()
+            doc["tool"] = "interp_throughput"
+            doc["deterministic"]["counters"] = {
+                "interp.compile.functions": 4,
+                "interp.compile.insns_in": 200,
+                "interp.exec.runs": 10,
+                "interp.exec.steps": steps,
+            }
+            return doc
+
+        self.put(self.baseline, "METRICS_interp.json", interp_metrics(5000))
+        self.put(self.current, "METRICS_interp.json", interp_metrics(7000))
+        rc, out, _ = self.run_compare()
+        self.assertEqual(rc, 1)
+        self.assertIn("steps_per_run", out)
+        self.assertEqual(
+            set(bench_compare._derived_interp(
+                {"interp.exec.steps": 1, "interp.exec.runs": 1})),
+            {"steps_per_run"})
+
 
 class TestMetricsReportAssertSame(unittest.TestCase):
     def setUp(self):
