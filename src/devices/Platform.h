@@ -42,6 +42,8 @@ struct ScheduledFrame {
   uint64_t AtOp = 0;
   std::vector<uint8_t> Frame;
   bool Errored = false;
+  friend bool operator==(const ScheduledFrame &,
+                         const ScheduledFrame &) = default;
 };
 
 /// The demo platform: SPI + LAN9250 + GPIO on one MMIO bus.

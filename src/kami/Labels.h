@@ -44,16 +44,19 @@ struct Label {
 
 using LabelTrace = std::vector<Label>;
 
+/// KamiLabelSeqR on one label: its ("ld"|"st", addr, value) event.
+inline riscv::MmioEvent kamiLabelEvent(const Label &L) {
+  return riscv::MmioEvent{L.MethodKind == Label::Kind::MmioStore, L.Addr,
+                          L.Value, L.Size};
+}
+
 /// Incremental KamiLabelSeqR: appends the images of Labels[From..) to
 /// \p Out and returns the new conversion watermark. Lets pollers keep a
 /// converted trace up to date without rebuilding it from scratch.
 inline size_t appendKamiLabelSeqR(const LabelTrace &Labels, size_t From,
                                   riscv::MmioTrace &Out) {
-  for (size_t I = From; I < Labels.size(); ++I) {
-    const Label &L = Labels[I];
-    Out.push_back(riscv::MmioEvent{L.MethodKind == Label::Kind::MmioStore,
-                                   L.Addr, L.Value, L.Size});
-  }
+  for (size_t I = From; I < Labels.size(); ++I)
+    Out.push_back(kamiLabelEvent(Labels[I]));
   return Labels.size();
 }
 

@@ -112,6 +112,13 @@ public:
   uint64_t cycles() const { return Stats.Cycles; }
   const PipeStats &stats() const { return Stats; }
   const LabelTrace &labels() const { return Labels; }
+  /// Empties the label log but keeps its capacity, for an owner that has
+  /// consumed every label so far and reads only new ones. The next
+  /// snapshot starts a new delta chain.
+  void clearLabels() {
+    Labels.clear();
+    LabelChain.reset();
+  }
 
 private:
   // -- Pipeline registers ----------------------------------------------------

@@ -64,6 +64,14 @@ public:
   uint64_t retired() const { return Retired; }
 
   const LabelTrace &labels() const { return Labels; }
+  /// Empties the label log but keeps its capacity, for an owner that has
+  /// consumed every label so far and reads only new ones. The next
+  /// snapshot starts a new delta chain.
+  void clearLabels() {
+    Labels.clear();
+    LabelChain.reset();
+  }
+
   const ICache &icache() const { return IMem; }
 
   // -- Snapshot/restore ------------------------------------------------------

@@ -9,31 +9,30 @@
 #include "devices/Net.h"
 #include "riscv/Step.h"
 #include "support/Format.h"
+#include "support/Fnv.h"
 #include "support/Metrics.h"
 #include "verify/FaultInjection.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 using namespace b2;
 using namespace b2::traffic;
 using namespace b2::devices;
 
+static void mixEvent(support::Fnv1a &H, const riscv::MmioEvent &E) {
+  H.word(E.IsStore);
+  H.word(E.Addr);
+  H.word(E.Value);
+  H.word(E.Size);
+}
+
 uint64_t b2::traffic::soakTraceHash(const riscv::MmioTrace &T) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  auto Mix = [&H](uint64_t V) {
-    for (int I = 0; I < 8; ++I) {
-      H ^= (V >> (I * 8)) & 0xFF;
-      H *= 0x100000001b3ull;
-    }
-  };
-  Mix(T.size());
-  for (const riscv::MmioEvent &E : T) {
-    Mix(E.IsStore ? 1 : 0);
-    Mix(E.Addr);
-    Mix(E.Value);
-    Mix(E.Size);
-  }
-  return H;
+  support::Fnv1a H;
+  for (const riscv::MmioEvent &E : T)
+    mixEvent(H, E);
+  H.word(T.size());
+  return H.Value;
 }
 
 std::vector<bool> b2::traffic::expectedLightSequence(
@@ -111,21 +110,70 @@ uint64_t SoakMachine::runChunk(uint64_t Cycles, bool &Ok) {
   return 0;
 }
 
-const riscv::MmioTrace &SoakMachine::trace() {
-  switch (Core) {
-  case SoakCore::IsaSim:
-    return Sim->trace();
-  case SoakCore::SpecCore:
-  case SoakCore::Pipelined:
-    Converted = kami::appendKamiLabelSeqR(labels(), Converted, ConvertedTrace);
-    return ConvertedTrace;
+void SoakMachine::fold(bool Feed) {
+  auto Take = [&](const riscv::MmioEvent &E) {
+    mixEvent(Sink.Hash, E);
+    ++Sink.Events;
+    if (Feed)
+      Mon.feed(E);
+  };
+  if (Sim) {
+    const riscv::MmioTrace &T = Sim->trace();
+    for (; Sink.Folded < T.size(); ++Sink.Folded)
+      Take(T[Sink.Folded]);
+    return;
   }
+  const kami::LabelTrace &L = Spec ? Spec->labels() : Pipe->labels();
+  for (; Sink.Folded < L.size(); ++Sink.Folded)
+    Take(kami::kamiLabelEvent(L[Sink.Folded]));
+  if (Released) {
+    Spec ? Spec->clearLabels() : Pipe->clearLabels();
+    Sink.Folded = 0;
+  }
+}
+
+bool SoakMachine::poll() {
+  fold(/*Feed=*/true);
+  return Mon.finishPoll();
+}
+
+void SoakMachine::releaseLog() {
+  Released = true;
+  ConvertedTrace = riscv::MmioTrace();
+}
+
+uint64_t SoakMachine::traceHash() {
+  fold(/*Feed=*/false);
+  support::Fnv1a H = Sink.Hash;
+  H.word(Sink.Events);
+  return H.Value;
+}
+
+void SoakMachine::requireLog() const {
+  // A kept log starts at event 0, so its fold watermark is the fold count.
+  if (Released || Sink.Folded != Sink.Events)
+    throw std::logic_error("SoakMachine: the MMIO log was released; only "
+                           "the streamed fingerprint and counters remain");
+}
+
+const riscv::MmioTrace &SoakMachine::trace() {
+  requireLog();
+  if (Sim)
+    return Sim->trace();
+  kami::appendKamiLabelSeqR(labels(), ConvertedTrace.size(), ConvertedTrace);
   return ConvertedTrace;
 }
 
 const kami::LabelTrace &SoakMachine::labels() const {
+  requireLog();
   static const kami::LabelTrace None;
   return Spec ? Spec->labels() : Pipe ? Pipe->labels() : None;
+}
+
+size_t SoakMachine::logCapacity() const {
+  return Spec   ? Spec->labels().capacity()
+         : Pipe ? Pipe->labels().capacity()
+                : 0;
 }
 
 uint64_t SoakMachine::retired() const {
@@ -168,9 +216,8 @@ SoakMachine::Snapshot SoakMachine::snapshot() {
   if (Pipe)
     S.Pipe = Pipe->snapshot();
   S.Plat = Plat.snapshot();
-  S.ConvertedTrace = ConvertedChain.snapshot(ConvertedTrace);
-  S.Converted = Converted;
   S.Mon = Mon.snapshot();
+  S.Sink = Sink;
   S.Elapsed = Elapsed;
   S.NextFrame = NextFrame;
   S.Delivered = DeliveredChain.snapshot(Delivered);
@@ -191,9 +238,9 @@ void SoakMachine::restore(const Snapshot &S) {
   if (PipeEng)
     PipeEng->onRestore();
   Plat.restore(S.Plat);
-  ConvertedChain.restore(ConvertedTrace, S.ConvertedTrace);
-  Converted = S.Converted;
   Mon.restore(S.Mon);
+  Sink = S.Sink;
+  ConvertedTrace.clear();
   Elapsed = S.Elapsed;
   NextFrame = S.NextFrame;
   DeliveredChain.restore(Delivered, S.Delivered);
@@ -270,8 +317,8 @@ ShardExit b2::traffic::runShardLoop(SoakMachine &M,
     if (!Ok)
       return ShardExit::HitUb;
 
-    // The streaming check: feed only the events this chunk produced.
-    if (!M.monitor().pollTrace(M.trace()))
+    // The streaming check: fold and feed only this chunk's events.
+    if (!M.poll())
       return ShardExit::Violated;
   }
 }
@@ -284,7 +331,6 @@ ShardStats b2::traffic::collectShardStats(SoakMachine &M, ShardExit Exit,
   Platform &Plat = M.platform();
   TraceMonitor &Mon = M.monitor();
   const size_t NumFrames = size_t(End - Begin);
-  const riscv::MmioTrace &Trace = M.trace();
 
   if (Exit == ShardExit::HitUb) {
     S.HitUb = true;
@@ -306,12 +352,12 @@ ShardStats b2::traffic::collectShardStats(SoakMachine &M, ShardExit Exit,
   for (const ScheduledFrame &F : Plat.acceptedFrames())
     if (!F.Errored && classifyFrame(F.Frame).Valid)
       ++S.ValidCommands;
-  S.MmioEvents = Trace.size();
+  S.TraceHash = M.traceHash();
+  S.MmioEvents = M.mmioEvents();
   S.MonitorEventsSeen = Mon.eventsSeen();
   S.LightTransitions = Plat.gpio().lightHistory().size();
   S.Cycles = M.Elapsed;
   S.Retired = M.retired();
-  S.TraceHash = soakTraceHash(Trace);
 
   S.MonitorOk = !Mon.violated();
   S.Drained = M.DrainFlagged;
@@ -403,28 +449,20 @@ constexpr size_t BootCacheCap = 8;
 
 uint64_t bootCacheKey(const compiler::CompiledProgram &Prog,
                       const SoakOptions &Options) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  auto MixByte = [&H](uint8_t B) {
-    H ^= B;
-    H *= 0x100000001b3ull;
-  };
-  auto Mix = [&MixByte](uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      MixByte(uint8_t((V >> (I * 8)) & 0xFF));
-  };
+  support::Fnv1a H;
   for (uint8_t B : Prog.image())
-    MixByte(B);
-  Mix(uint64_t(Options.Core));
-  Mix(uint64_t(Options.SimExec));
-  Mix(Options.RamBytes);
-  Mix(Options.ChunkCycles);
-  Mix(Options.FrameBudget);
-  Mix(Options.MaxCyclesPerShard);
+    H.byte(B);
+  H.word(uint64_t(Options.Core));
+  H.word(uint64_t(Options.SimExec));
+  H.word(Options.RamBytes);
+  H.word(Options.ChunkCycles);
+  H.word(Options.FrameBudget);
+  H.word(Options.MaxCyclesPerShard);
   // The plan armed on this thread (the caller arms Options.Plan before
   // calling): a boot snapshot taken under one fault plan must never be
   // resumed under another.
-  Mix(fi::ActivePlan ? fi::ActivePlan->bits() : 0);
-  return H;
+  H.word(fi::ActivePlan ? fi::ActivePlan->bits() : 0);
+  return H.Value;
 }
 
 } // namespace
@@ -433,46 +471,45 @@ std::unique_ptr<SoakMachine>
 b2::traffic::warmBootMachine(const compiler::CompiledProgram &Prog,
                              const SoakOptions &Options) {
   const uint64_t Key = bootCacheKey(Prog, Options);
-  for (const BootCacheEntry &E : BootCache) {
-    if (E.Key != Key)
-      continue;
-    // The cache is thread-local, so hit/miss mix depends on the thread
-    // count — counted under the Nondet scope, and everything the warm or
-    // cold boot path *executes* is suppressed below so the Det metrics
-    // describe only the per-shard work, which is thread-count-invariant.
+  // The cache is thread-local, so hit/miss mix depends on the thread
+  // count — counted under the Nondet scope, and everything the boot and
+  // the fork *execute* is suppressed below so the Det metrics describe
+  // only the per-shard work, which is thread-count-invariant.
+  auto It =
+      std::find_if(BootCache.begin(), BootCache.end(),
+                   [Key](const BootCacheEntry &E) { return E.Key == Key; });
+  if (It != BootCache.end()) {
     metrics::add(metrics::Id::CkptBootHits);
-    if (!E.Ok)
-      return nullptr;
+  } else {
+    metrics::add(metrics::Id::CkptBootMisses);
     metrics::PauseScope Pause;
-    auto M = std::make_unique<SoakMachine>(Prog, Options.Core,
-                                           Options.RamBytes, Options.SimExec);
-    M->restore(E.Snap);
-    // While paused this publishes nothing but still rebases the engine's
-    // publication baseline, so the restore-time flush never leaks into
-    // the shard's deltas.
-    M->publishMetrics();
-    return M;
+    SoakMachine Boot(Prog, Options.Core, Options.RamBytes, Options.SimExec);
+    BootCacheEntry Entry;
+    Entry.Key = Key;
+    Entry.Ok = runShardLoop(Boot, nullptr, nullptr, Options, InjectHook(),
+                            /*StopBeforeFirstInject=*/true) ==
+               ShardExit::ReadyToInject;
+    if (Entry.Ok)
+      Entry.Snap = Boot.snapshot();
+    if (BootCache.size() >= BootCacheCap)
+      BootCache.erase(BootCache.begin());
+    BootCache.push_back(std::move(Entry));
+    It = BootCache.end() - 1;
   }
-
-  metrics::add(metrics::Id::CkptBootMisses);
+  if (!It->Ok)
+    return nullptr;
+  // A miss forks from the new entry too, not from the boot machine: its
+  // derived state (the block engine's translations) would otherwise make
+  // the first shard on each thread run differently from the rest.
   metrics::PauseScope Pause;
   auto M = std::make_unique<SoakMachine>(Prog, Options.Core, Options.RamBytes,
                                          Options.SimExec);
-  ShardExit E = runShardLoop(*M, nullptr, nullptr, Options, InjectHook(),
-                             /*StopBeforeFirstInject=*/true);
-  const bool Ok = E == ShardExit::ReadyToInject;
-  BootCacheEntry Entry;
-  Entry.Key = Key;
-  Entry.Ok = Ok;
-  if (Ok)
-    Entry.Snap = M->snapshot();
-  if (BootCache.size() >= BootCacheCap)
-    BootCache.erase(BootCache.begin());
-  BootCache.push_back(std::move(Entry));
-  // Rebase (see the warm path): boot-era engine work stays out of the
-  // shard's published deltas, exactly as it does on a warm fork.
+  M->restore(It->Snap);
+  // While paused this publishes nothing but still rebases the engine's
+  // publication baseline, so the restore-time flush never leaks into the
+  // shard's deltas.
   M->publishMetrics();
-  return Ok ? std::move(M) : nullptr;
+  return M;
 }
 
 //===----------------------------------------------------------------------===//
@@ -514,6 +551,7 @@ CheckpointedOracle::CheckpointedOracle(const compiler::CompiledProgram &Prog,
   M = std::make_unique<SoakMachine>(Prog, this->Options.Core,
                                     this->Options.RamBytes,
                                     this->Options.SimExec);
+  M->releaseLog();
   ShardExit E = runShardLoop(*M, nullptr, nullptr, this->Options, InjectHook(),
                              /*StopBeforeFirstInject=*/true);
   BootOk = E == ShardExit::ReadyToInject;
@@ -621,60 +659,34 @@ bool CheckpointedOracle::prime(const std::vector<ScheduledFrame> &Frames) {
 
 namespace {
 
-bool sameFrames(const std::vector<ScheduledFrame> &A,
-                const std::vector<ScheduledFrame> &B) {
-  if (A.size() != B.size())
-    return false;
-  for (size_t I = 0; I != A.size(); ++I)
-    if (A[I].AtOp != B[I].AtOp || A[I].Errored != B[I].Errored ||
-        A[I].Frame != B[I].Frame)
-      return false;
-  return true;
-}
-
 /// First differing ShardStats field, rendered; empty when identical.
 std::string statsMismatch(const ShardStats &A, const ShardStats &B) {
-  auto Num = [](const char *Field, uint64_t X, uint64_t Y) {
-    return std::string(Field) + " diverged: straight=" + std::to_string(X) +
-           " resumed=" + std::to_string(Y);
+  const std::pair<const char *, std::pair<uint64_t, uint64_t>> Fields[] = {
+      {"ok", {A.Ok, B.Ok}},
+      {"monitor_ok", {A.MonitorOk, B.MonitorOk}},
+      {"ground_truth_ok", {A.GroundTruthOk, B.GroundTruthOk}},
+      {"drained", {A.Drained, B.Drained}},
+      {"hit_ub", {A.HitUb, B.HitUb}},
+      {"diverged", {A.Diverged, B.Diverged}},
+      {"frames_delivered", {A.FramesDelivered, B.FramesDelivered}},
+      {"frames_accepted", {A.FramesAccepted, B.FramesAccepted}},
+      {"valid_commands", {A.ValidCommands, B.ValidCommands}},
+      {"mmio_events", {A.MmioEvents, B.MmioEvents}},
+      {"monitor_events_seen", {A.MonitorEventsSeen, B.MonitorEventsSeen}},
+      {"light_transitions", {A.LightTransitions, B.LightTransitions}},
+      {"cycles", {A.Cycles, B.Cycles}},
+      {"retired", {A.Retired, B.Retired}},
+      {"trace_hash", {A.TraceHash, B.TraceHash}},
+      {"violation_index", {A.ViolationIndex, B.ViolationIndex}},
   };
-  if (A.Ok != B.Ok)
-    return Num("ok", A.Ok, B.Ok);
-  if (A.MonitorOk != B.MonitorOk)
-    return Num("monitor_ok", A.MonitorOk, B.MonitorOk);
-  if (A.GroundTruthOk != B.GroundTruthOk)
-    return Num("ground_truth_ok", A.GroundTruthOk, B.GroundTruthOk);
-  if (A.Drained != B.Drained)
-    return Num("drained", A.Drained, B.Drained);
-  if (A.HitUb != B.HitUb)
-    return Num("hit_ub", A.HitUb, B.HitUb);
-  if (A.Diverged != B.Diverged)
-    return Num("diverged", A.Diverged, B.Diverged);
-  if (A.FramesDelivered != B.FramesDelivered)
-    return Num("frames_delivered", A.FramesDelivered, B.FramesDelivered);
-  if (A.FramesAccepted != B.FramesAccepted)
-    return Num("frames_accepted", A.FramesAccepted, B.FramesAccepted);
-  if (A.ValidCommands != B.ValidCommands)
-    return Num("valid_commands", A.ValidCommands, B.ValidCommands);
-  if (A.MmioEvents != B.MmioEvents)
-    return Num("mmio_events", A.MmioEvents, B.MmioEvents);
-  if (A.MonitorEventsSeen != B.MonitorEventsSeen)
-    return Num("monitor_events_seen", A.MonitorEventsSeen,
-               B.MonitorEventsSeen);
-  if (A.LightTransitions != B.LightTransitions)
-    return Num("light_transitions", A.LightTransitions, B.LightTransitions);
-  if (A.Cycles != B.Cycles)
-    return Num("cycles", A.Cycles, B.Cycles);
-  if (A.Retired != B.Retired)
-    return Num("retired", A.Retired, B.Retired);
-  if (A.TraceHash != B.TraceHash)
-    return Num("trace_hash", A.TraceHash, B.TraceHash);
-  if (A.ViolationIndex != B.ViolationIndex)
-    return Num("violation_index", A.ViolationIndex, B.ViolationIndex);
+  for (const auto &[Field, V] : Fields)
+    if (V.first != V.second)
+      return std::string(Field) + " diverged: straight=" +
+             std::to_string(V.first) + " resumed=" + std::to_string(V.second);
   if (A.Error != B.Error)
     return "error string diverged: straight=\"" + A.Error + "\" resumed=\"" +
            B.Error + "\"";
-  if (!sameFrames(A.DeliveredFrames, B.DeliveredFrames))
+  if (A.DeliveredFrames != B.DeliveredFrames)
     return "kept delivered-frame prefix diverged";
   return std::string();
 }
@@ -699,6 +711,7 @@ SnapshotDifferential b2::traffic::runSnapshotDifferential(
 
   // Straight-through run; the hook captures one snapshot in flight.
   SoakMachine A(Prog, O.Core, O.RamBytes, O.SimExec);
+  A.releaseLog();
   std::optional<SoakMachine::Snapshot> Snap;
   InjectHook Hook = [&](size_t Injected) {
     if (!Snap && Injected == CheckpointDepth)
@@ -714,6 +727,7 @@ SnapshotDifferential b2::traffic::runSnapshotDifferential(
   // reached (short run, or depth past the last injection), this is a
   // second cold run — still a meaningful determinism check.
   SoakMachine B(Prog, O.Core, O.RamBytes, O.SimExec);
+  B.releaseLog();
   if (Snap)
     B.restore(*Snap);
   ShardExit EB = runShardLoop(B, Begin, End, O);
@@ -724,7 +738,7 @@ SnapshotDifferential b2::traffic::runSnapshotDifferential(
   D.Detail = statsMismatch(D.Straight, D.Resumed);
   if (D.Detail.empty() && LightsA != LightsB)
     D.Detail = "light history diverged";
-  if (D.Detail.empty() && !sameFrames(DeliveredA, DeliveredB))
+  if (D.Detail.empty() && DeliveredA != DeliveredB)
     D.Detail = "delivered-frame log diverged";
   D.Identical = D.Detail.empty();
   return D;

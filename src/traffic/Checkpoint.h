@@ -7,8 +7,8 @@
 /// \file
 /// Whole-machine snapshot/restore over one soak shard's complete system —
 /// core (ISA simulator, spec core, or pipelined core), device platform,
-/// converted trace, streaming monitor, and delivery loop state — plus the
-/// two fleets built on top of it:
+/// trace sink (fingerprint, event count, streaming monitor), and delivery
+/// loop state — plus the two fleets built on top of it:
 ///
 ///  * a warm-boot cache that captures the system once at the
 ///    ready-to-inject point (firmware booted, RX enabled) and forks every
@@ -41,6 +41,7 @@
 #include "kami/PipelinedCore.h"
 #include "kami/SpecCore.h"
 #include "riscv/Machine.h"
+#include "support/Fnv.h"
 #include "traffic/Monitor.h"
 #include "traffic/Soak.h"
 
@@ -54,8 +55,9 @@
 namespace b2 {
 namespace traffic {
 
-/// FNV-1a over an MMIO trace (the shard trace fingerprint; local to
-/// b2_traffic so the layer stays independent of b2_verify's digest).
+/// The shard trace fingerprint: FNV-1a over each event's store flag,
+/// address, value and size, then the event count — last, so SoakMachine
+/// can fold it as events stream past. This is the offline reference.
 uint64_t soakTraceHash(const riscv::MmioTrace &T);
 
 /// Ground truth, as in the end-to-end checker: the distinct lightbulb
@@ -64,8 +66,9 @@ std::vector<bool>
 expectedLightSequence(const std::vector<devices::ScheduledFrame> &Accepted);
 
 /// The whole-system runner: the selected core running a compiled image
-/// against its private platform, the incrementally converted MMIO trace,
-/// the streaming goodHlTrace monitor, and the delivery-loop cursor state.
+/// against its private platform, the trace sink that folds each MMIO
+/// event into the shard fingerprint once and feeds it to the streaming
+/// goodHlTrace monitor, and the delivery-loop cursor state.
 /// Soak shards, the end-to-end checker (verify/EndToEnd.h), the shrink
 /// oracles and the latency benches all drive this one class through
 /// runShardLoop. It is also the unit of snapshot/restore — everything a
@@ -85,13 +88,34 @@ public:
   /// request). \p Ok becomes false iff the ISA simulator hit UB.
   uint64_t runChunk(uint64_t Cycles, bool &Ok);
 
-  /// The machine's MMIO trace under KamiLabelSeqR, converted
-  /// incrementally (O(new events) per call).
+  /// Folds each MMIO event emitted since the last fold into the trace
+  /// fingerprint and count and feeds it to the monitor. False once the
+  /// monitor has rejected an event; later events are still folded, so a
+  /// run resumed past a violation keeps a whole-trace fingerprint.
+  bool poll();
+
+  /// For owners that read only the fingerprint, counters and monitor:
+  /// each later poll empties the Kami core's label log (keeping its
+  /// capacity), and trace() and labels() throw std::logic_error. The ISA
+  /// trace is kept (its Differential shadow uses absolute indices).
+  void releaseLog();
+
+  /// The streamed fingerprint, soakTraceHash(trace()) on a kept log.
+  /// First folds, without feeding the monitor, the events no poll folded.
+  uint64_t traceHash();
+  /// Events folded so far: the trace length once traceHash() ran.
+  uint64_t mmioEvents() const { return Sink.Events; }
+
+  /// The machine's MMIO trace under KamiLabelSeqR, converted lazily
+  /// (O(new events) per call). Throws once the log is released.
   const riscv::MmioTrace &trace();
 
   /// The Kami core's label log, whose cycle stamps the converted trace
-  /// drops. Empty on the ISA simulator.
+  /// drops. Empty on the ISA simulator. Throws once released.
   const kami::LabelTrace &labels() const;
+
+  /// The Kami core's label-log capacity in events (0 on the ISA sim).
+  size_t logCapacity() const;
 
   uint64_t retired() const;
 
@@ -120,11 +144,20 @@ public:
 
   // -- Snapshot/restore ------------------------------------------------------
 
+  /// The trace sink: the fingerprint state over the folded events, their
+  /// count, and the next index of the core's log to fold.
+  struct SinkState {
+    support::Fnv1a Hash;
+    uint64_t Events = 0;
+    size_t Folded = 0;
+  };
+
   /// Whole-system checkpoint. Memory-bearing components (RAM, BRAM)
-  /// snapshot copy-on-write pages; append-only logs (traces, labels,
-  /// delivered/accepted frames) snapshot O(delta) chains; latches and
-  /// counters copy flat. Taking and restoring a snapshot is O(dirty
-  /// pages + new log entries), which is what makes per-injection
+  /// snapshot copy-on-write pages; append-only logs (the ISA trace, a
+  /// kept label log, delivered/accepted frames) snapshot O(delta) chains;
+  /// latches, counters and the trace sink copy flat (a released label log
+  /// is empty at injection points). Taking and restoring a snapshot is
+  /// O(dirty pages + new log entries), which is what makes per-injection
   /// checkpointing affordable.
   struct Snapshot {
     std::optional<riscv::Machine::Snapshot> Sim;
@@ -132,9 +165,8 @@ public:
     std::optional<kami::SpecCore::Snapshot> Spec;
     std::optional<kami::PipelinedCore::Snapshot> Pipe;
     devices::Platform::Snapshot Plat;
-    support::ChainTracker<riscv::MmioEvent>::Snap ConvertedTrace;
-    size_t Converted;
     TraceMonitor::Snapshot Mon;
+    SinkState Sink;
     uint64_t Elapsed;
     size_t NextFrame;
     support::ChainTracker<devices::ScheduledFrame>::Snap Delivered;
@@ -171,11 +203,15 @@ private:
   /// other cores. It keeps no state between chunks beyond its
   /// Differential shadow, which restore resyncs.
   std::unique_ptr<kami::PipeEngine> PipeEng;
-  riscv::MmioTrace ConvertedTrace;
-  size_t Converted = 0;
-  support::ChainTracker<riscv::MmioEvent> ConvertedChain;
   support::ChainTracker<devices::ScheduledFrame> DeliveredChain;
   TraceMonitor Mon;
+  SinkState Sink;
+  bool Released = false;
+  /// trace()'s view of a kept label log: derived, dropped on restore.
+  riscv::MmioTrace ConvertedTrace;
+
+  void fold(bool Feed);
+  void requireLog() const;
 };
 
 /// Why runShardLoop returned.
@@ -235,7 +271,9 @@ warmBootMachine(const compiler::CompiledProgram &Prog,
 /// holds the ready-to-inject boot state. Each candidate walks the tree
 /// along its frame sequence, restores the deepest matching node, and
 /// resumes from there — ddmin candidates share long prefixes, so most of
-/// each oracle run's cycles are skipped rather than simulated.
+/// each oracle run's cycles are skipped rather than simulated. The oracle
+/// reads only ShardStats, so its machine releases its log and the nodes
+/// of a Kami-core tree hold no label chain.
 class CheckpointedOracle {
 public:
   /// \p Options must describe a backpressure run (HonorSchedule is
@@ -309,7 +347,7 @@ struct SnapshotDifferential {
 /// tests and the SnapDiff adequacy column; faults armed on the calling
 /// thread apply to both runs equally, so a deterministic seeded bug in
 /// the *simulated system* never trips it — only a bug in the checkpoint
-/// layer itself does.
+/// layer itself does. Both machines release their logs.
 SnapshotDifferential
 runSnapshotDifferential(const compiler::CompiledProgram &Prog,
                         const std::vector<devices::ScheduledFrame> &Frames,

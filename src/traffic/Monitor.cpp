@@ -22,7 +22,6 @@ TraceMonitor::TraceMonitor(const tracespec::Matcher &M) : Stream(M) {}
 
 void TraceMonitor::reset() {
   Stream.reset();
-  Watermark = 0;
   Offered = 0;
   Seen = 0;
 }
@@ -41,13 +40,14 @@ bool TraceMonitor::feed(const tracespec::Event &E) {
 }
 
 bool TraceMonitor::pollTrace(const riscv::MmioTrace &T) {
-  while (Watermark < T.size()) {
-    if (!feed(T[Watermark])) {
-      metrics::record(metrics::Id::SoakMonitorFrontier, Stream.frontierSize());
-      return false;
-    }
-    ++Watermark;
+  // feed() advances Offered while the monitor is alive, and a dead
+  // monitor refuses the next event.
+  while (Offered < T.size() && feed(T[Offered])) {
   }
+  return finishPoll();
+}
+
+bool TraceMonitor::finishPoll() {
   // Frontier occupancy sampled once per poll (i.e. per soak chunk): the
   // per-event matching cost the monitor is currently paying. Polls are a
   // pure function of the shard plan, so the histogram is deterministic.

@@ -12,9 +12,8 @@
 /// prefix language — there is no need to wait for the run to finish, and
 /// at soak scale (millions of frames) re-matching the whole trace after
 /// the fact would dominate the run. TraceMonitor wraps
-/// tracespec::Matcher::Stream and is fed incrementally from a machine's
-/// growing MMIO trace via a watermark, mirroring how the end-to-end
-/// checker converts Kami labels incrementally.
+/// tracespec::Matcher::Stream and is fed each event once as the machine
+/// emits it (SoakMachine::poll), or from a kept trace (pollTrace).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,14 +41,18 @@ public:
   /// Monitors against \p M (defaults to the shared goodHlTrace matcher).
   explicit TraceMonitor(const tracespec::Matcher &M = goodHlMatcher());
 
-  /// Feeds every event of \p T past the internal watermark. Returns
-  /// false once the trace has left the prefix language (and stops
-  /// consuming further events, so the violation index stays pinned to
-  /// the first offender).
+  /// Feeds every event of \p T the monitor has not been offered yet, by
+  /// either entry point. Returns false once the trace has left the prefix
+  /// language (and stops consuming further events, so the violation index
+  /// stays pinned to the first offender).
   bool pollTrace(const riscv::MmioTrace &T);
 
   /// Feeds one event. False on (or after) the first violation.
   bool feed(const tracespec::Event &E);
+
+  /// Ends a poll of events fed through feed(), as pollTrace does: samples
+  /// the frontier once; false once the trace left the prefix language.
+  bool finishPoll();
 
   /// True once a violation has been observed.
   bool violated() const { return !Stream.alive(); }
@@ -63,9 +66,9 @@ public:
     return Stream.expectedHere();
   }
 
-  /// Events actually fed into the automaton so far (== the watermark
-  /// when fed via pollTrace on a healthy monitor — the adequacy column
-  /// compares this against the offline trace length).
+  /// Events actually fed into the automaton so far (== the events offered
+  /// on a healthy monitor — the adequacy column compares this against the
+  /// offline trace length).
   size_t eventsSeen() const { return Seen; }
 
   /// Restarts the monitor for a fresh trace.
@@ -73,33 +76,32 @@ public:
 
   // -- Snapshot/restore ------------------------------------------------------
 
-  /// Monitor checkpoint: the NFA frontier plus the watermark and both
-  /// event counters. Offered is included deliberately — the seeded
-  /// drop-event fault keys off its cadence, so a resumed run under that
-  /// fault must resume the cadence, not restart it.
+  /// Monitor checkpoint: the NFA frontier plus both event counters.
+  /// Offered is included deliberately — the seeded drop-event fault keys
+  /// off its cadence, so a resumed run under that fault must resume the
+  /// cadence, not restart it.
   struct Snapshot {
     tracespec::Matcher::Stream::Snapshot Stream;
-    size_t Watermark;
     size_t Offered;
     size_t Seen;
   };
 
   Snapshot snapshot() const {
-    return Snapshot{Stream.snapshot(), Watermark, Offered, Seen};
+    return Snapshot{Stream.snapshot(), Offered, Seen};
   }
 
   void restore(const Snapshot &S) {
     Stream.restore(S.Stream);
-    Watermark = S.Watermark;
     Offered = S.Offered;
     Seen = S.Seen;
   }
 
 private:
   tracespec::Matcher::Stream Stream;
-  size_t Watermark = 0; ///< Next trace index pollTrace will feed.
-  size_t Offered = 0;   ///< Events offered to feed() (drop cadence).
-  size_t Seen = 0;      ///< Events actually fed (drops excluded).
+  /// Events offered to feed() while alive, the rejected one included:
+  /// the drop cadence, and the index of the next trace event to offer.
+  size_t Offered = 0;
+  size_t Seen = 0; ///< Events actually fed (drops excluded).
 };
 
 } // namespace traffic

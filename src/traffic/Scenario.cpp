@@ -7,6 +7,7 @@
 #include "traffic/Scenario.h"
 
 #include "devices/Net.h"
+#include "support/Fnv.h"
 #include "support/Rng.h"
 #include "verify/FaultInjection.h"
 
@@ -19,24 +20,16 @@ using namespace b2::traffic;
 ScenarioGenerator::~ScenarioGenerator() = default;
 
 uint64_t b2::traffic::streamDigest(const TrafficStream &S) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  auto Mix = [&H](uint64_t V) {
-    for (int I = 0; I < 8; ++I) {
-      H ^= (V >> (I * 8)) & 0xFF;
-      H *= 0x100000001b3ull;
-    }
-  };
-  Mix(S.Frames.size());
+  support::Fnv1a H;
+  H.word(S.Frames.size());
   for (const devices::ScheduledFrame &F : S.Frames) {
-    Mix(F.AtOp);
-    Mix(F.Errored ? 1 : 0);
-    Mix(F.Frame.size());
-    for (uint8_t B : F.Frame) {
-      H ^= B;
-      H *= 0x100000001b3ull;
-    }
+    H.word(F.AtOp);
+    H.word(F.Errored);
+    H.word(F.Frame.size());
+    for (uint8_t B : F.Frame)
+      H.byte(B);
   }
-  return H;
+  return H.Value;
 }
 
 namespace {
@@ -85,6 +78,8 @@ private:
   unsigned InBurst = 0;
 };
 
+/// Well-formed command frames only (random on/off, occasional valid
+/// extra payload).
 class ValidMixGen final : public ScenarioGenerator {
 public:
   ValidMixGen(uint64_t Seed, const ArrivalPattern &A,
@@ -116,6 +111,8 @@ private:
   devices::UdpFrameOptions Options;
 };
 
+/// The devices/Net packet fuzzer: valid commands mixed with frames
+/// malformed at every layer, some arriving PHY-errored.
 class AdversarialGen final : public ScenarioGenerator {
 public:
   AdversarialGen(uint64_t Seed, const ArrivalPattern &A)
@@ -174,27 +171,6 @@ devices::UdpFrameOptions userIdentity(unsigned UserId) {
 
 } // namespace
 
-std::unique_ptr<ScenarioGenerator>
-b2::traffic::makeValidMix(uint64_t Seed, const ArrivalPattern &A) {
-  return std::make_unique<ValidMixGen>(Seed, A);
-}
-
-std::unique_ptr<ScenarioGenerator>
-b2::traffic::makeAdversarial(uint64_t Seed, const ArrivalPattern &A) {
-  return std::make_unique<AdversarialGen>(Seed, A);
-}
-
-std::unique_ptr<ScenarioGenerator>
-b2::traffic::makeUser(uint64_t Seed, unsigned UserId, const ArrivalPattern &A) {
-  return std::make_unique<ValidMixGen>(Seed ^ (0x9e3779b97f4a7c15ull * (UserId + 1)),
-                                       A, userIdentity(UserId));
-}
-
-std::unique_ptr<ScenarioGenerator>
-b2::traffic::makeInterleave(std::vector<std::unique_ptr<ScenarioGenerator>> Inner) {
-  return std::make_unique<InterleaveGen>(std::move(Inner));
-}
-
 const std::vector<ScenarioInfo> &b2::traffic::scenarioCatalog() {
   static const std::vector<ScenarioInfo> Catalog = {
       {"valid-mix", "well-formed command frames only"},
@@ -218,9 +194,9 @@ TrafficStream b2::traffic::generateScenario(const std::string &Name,
                                             const ScenarioOptions &Options) {
   std::unique_ptr<ScenarioGenerator> Gen;
   if (Name == "valid-mix") {
-    Gen = makeValidMix(Options.Seed, Options.Arrival);
+    Gen = std::make_unique<ValidMixGen>(Options.Seed, Options.Arrival);
   } else if (Name == "adversarial") {
-    Gen = makeAdversarial(Options.Seed, Options.Arrival);
+    Gen = std::make_unique<AdversarialGen>(Options.Seed, Options.Arrival);
   } else if (Name == "burst") {
     ArrivalPattern A = Options.Arrival;
     if (A.BurstLen == 0)
@@ -228,11 +204,12 @@ TrafficStream b2::traffic::generateScenario(const std::string &Name,
     // Alternate valid and adversarial bursts so the duty cycle also
     // exercises the RecvInvalid spec alternative under pressure.
     std::vector<std::unique_ptr<ScenarioGenerator>> Inner;
-    Inner.push_back(makeValidMix(Options.Seed, A));
+    Inner.push_back(std::make_unique<ValidMixGen>(Options.Seed, A));
     ArrivalPattern B = A;
     B.FirstAtOp += A.BurstSpacing / 2 + 1;
-    Inner.push_back(makeAdversarial(Options.Seed ^ 0xb5297a4d, B));
-    Gen = makeInterleave(std::move(Inner));
+    Inner.push_back(
+        std::make_unique<AdversarialGen>(Options.Seed ^ 0xb5297a4d, B));
+    Gen = std::make_unique<InterleaveGen>(std::move(Inner));
   } else if (Name == "multi-user") {
     unsigned Users = Options.Users ? Options.Users : 1;
     std::vector<std::unique_ptr<ScenarioGenerator>> Inner;
@@ -241,9 +218,12 @@ TrafficStream b2::traffic::generateScenario(const std::string &Name,
       // Stagger user start times so streams genuinely interleave rather
       // than marching in lockstep.
       A.FirstAtOp += (A.OpSpacing / Users) * U;
-      Inner.push_back(makeUser(Options.Seed, U, A));
+      // One simulated user: its own seed and SrcIp / SrcPort identity.
+      Inner.push_back(std::make_unique<ValidMixGen>(
+          Options.Seed ^ (0x9e3779b97f4a7c15ull * (U + 1)), A,
+          userIdentity(U)));
     }
-    Gen = makeInterleave(std::move(Inner));
+    Gen = std::make_unique<InterleaveGen>(std::move(Inner));
   } else {
     return {}; // Callers check isScenario() first; empty stream otherwise.
   }

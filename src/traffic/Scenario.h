@@ -73,26 +73,6 @@ public:
   virtual devices::ScheduledFrame next() = 0;
 };
 
-/// Well-formed command frames only (random on/off, occasional valid
-/// extra payload).
-std::unique_ptr<ScenarioGenerator> makeValidMix(uint64_t Seed,
-                                                const ArrivalPattern &A);
-
-/// The devices/Net packet fuzzer: valid commands mixed with frames
-/// malformed at every layer, some arriving PHY-errored.
-std::unique_ptr<ScenarioGenerator> makeAdversarial(uint64_t Seed,
-                                                   const ArrivalPattern &A);
-
-/// One simulated user: valid command frames from a distinct SrcIp /
-/// SrcPort identity derived from \p UserId.
-std::unique_ptr<ScenarioGenerator> makeUser(uint64_t Seed, unsigned UserId,
-                                            const ArrivalPattern &A);
-
-/// Merges \p Inner streams by arrival op (ties broken by generator
-/// index, so the merge is deterministic).
-std::unique_ptr<ScenarioGenerator>
-makeInterleave(std::vector<std::unique_ptr<ScenarioGenerator>> Inner);
-
 /// Catalog entry for the CLI and the CI smoke matrix.
 struct ScenarioInfo {
   const char *Name;

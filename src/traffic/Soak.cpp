@@ -61,6 +61,8 @@ ShardStats runShardRange(const compiler::CompiledProgram &Prog,
   if (!M)
     M = std::make_unique<SoakMachine>(Prog, Options.Core, Options.RamBytes,
                                       Options.SimExec);
+  // The shard reads only the fingerprint, the counters and the monitor.
+  M->releaseLog();
 
   if (Options.HonorSchedule)
     for (const ScheduledFrame *F = Begin; F != End; ++F)
@@ -123,24 +125,6 @@ compiler::CompileResult b2::traffic::compileSoakFirmware(Word RamBytes) {
       RamBytes);
 }
 
-SoakReport b2::traffic::runSoak(const TrafficStream &Stream,
-                                const SoakOptions &Options,
-                                const std::string &Scenario, uint64_t Seed) {
-  compiler::CompileResult C = compileSoakFirmware(Options.RamBytes);
-  if (!C.ok()) {
-    SoakReport R;
-    R.Scenario = Scenario;
-    R.Seed = Seed;
-    R.Core = Options.Core;
-    R.TotalFrames = Stream.Frames.size();
-    ShardStats S;
-    S.Error = "firmware compilation failed: " + C.Error;
-    R.Shards.push_back(std::move(S));
-    return R;
-  }
-  return runSoak(*C.Prog, Stream, Options, Scenario, Seed);
-}
-
 SoakReport b2::traffic::runSoak(const compiler::CompiledProgram &Prog,
                                 const TrafficStream &Stream,
                                 const SoakOptions &Options,
@@ -184,7 +168,7 @@ SoakReport b2::traffic::runSoak(const compiler::CompiledProgram &Prog,
 std::string b2::traffic::soakJson(const SoakReport &Report) {
   support::JsonWriter J;
   J.beginObject();
-  J.key("schema").value("b2stack-soak-v1");
+  J.key("schema").value("b2stack-soak-v2");
   J.key("scenario").value(Report.Scenario);
   J.key("seed").value(Report.Seed);
   J.key("core").value(soakCoreName(Report.Core));

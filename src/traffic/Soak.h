@@ -112,7 +112,7 @@ struct ShardStats {
   uint64_t FramesDelivered = 0;
   uint64_t FramesAccepted = 0;  ///< NIC-accepted subset.
   uint64_t ValidCommands = 0;   ///< Accepted frames that are valid commands.
-  uint64_t MmioEvents = 0;      ///< Trace length under KamiLabelSeqR.
+  uint64_t MmioEvents = 0;      ///< Events streamed (the trace length).
   /// Events the streaming monitor actually consumed. On a healthy,
   /// non-violating run this equals MmioEvents; the adequacy column's
   /// monitor-agreement stim compares the two.
@@ -120,7 +120,7 @@ struct ShardStats {
   uint64_t LightTransitions = 0;
   uint64_t Cycles = 0;
   uint64_t Retired = 0;
-  uint64_t TraceHash = 0;       ///< FNV-1a of the MMIO trace.
+  uint64_t TraceHash = 0;       ///< soakTraceHash, folded as streamed.
   /// Index into the shard's MMIO trace of the first rejected event.
   /// Meaningful only when !MonitorOk.
   uint64_t ViolationIndex = 0;
@@ -153,10 +153,6 @@ ShardStats runSoakShard(const compiler::CompiledProgram &Prog,
 /// \p Seed are recorded in the report verbatim.
 SoakReport runSoak(const compiler::CompiledProgram &Prog,
                    const TrafficStream &Stream, const SoakOptions &Options,
-                   const std::string &Scenario = "pcap", uint64_t Seed = 0);
-
-/// Convenience overload: compiles the lightbulb firmware first.
-SoakReport runSoak(const TrafficStream &Stream, const SoakOptions &Options,
                    const std::string &Scenario = "pcap", uint64_t Seed = 0);
 
 /// Compiles the default verified lightbulb firmware at -O0 (the soak

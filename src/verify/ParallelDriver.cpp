@@ -6,6 +6,7 @@
 
 #include "verify/ParallelDriver.h"
 
+#include "support/Fnv.h"
 #include "support/Metrics.h"
 #include "support/ThreadPool.h"
 
@@ -27,20 +28,14 @@ std::vector<uint64_t> b2::verify::fleetSeeds(uint64_t BaseSeed, size_t N) {
 }
 
 uint64_t b2::verify::traceDigest(const riscv::MmioTrace &T) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  auto Mix = [&H](uint64_t V) {
-    for (unsigned B = 0; B != 8; ++B) {
-      H ^= (V >> (8 * B)) & 0xFF;
-      H *= 0x100000001b3ull;
-    }
-  };
+  support::Fnv1a H;
   for (const riscv::MmioEvent &E : T) {
-    Mix(E.IsStore ? 1 : 0);
-    Mix(E.Addr);
-    Mix(E.Value);
-    Mix(E.Size);
+    H.word(E.IsStore);
+    H.word(E.Addr);
+    H.word(E.Value);
+    H.word(E.Size);
   }
-  return H;
+  return H.Value;
 }
 
 FleetReport b2::verify::runShards(const std::vector<uint64_t> &Seeds,

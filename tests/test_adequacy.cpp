@@ -202,7 +202,7 @@ TEST(Adequacy, DocumentedFaultNamesAreRegistered) {
   // registered fault, so `--fault NAME` / `--only-fault NAME` copied from
   // the docs works. Fault-like: at least three hyphenated lowercase
   // segments, the first of which is a registered fault's layer prefix
-  // (`vc-smoke`, `valid-mix` and `b2stack-soak-v1` are not).
+  // (`vc-smoke`, `valid-mix` and `b2stack-soak-v2` are not).
   std::set<std::string> Names, Prefixes;
   for (const fi::FaultInfo &F : fi::faultRegistry()) {
     const std::string Name = F.Name;

@@ -17,6 +17,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "app/Firmware.h"
+#include "support/Metrics.h"
 #include "support/Rng.h"
 #include "support/Snapshot.h"
 #include "traffic/Checkpoint.h"
@@ -27,7 +29,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <stdexcept>
 
 using namespace b2;
 using namespace b2::traffic;
@@ -47,6 +52,44 @@ std::vector<devices::ScheduledFrame> scenarioFrames(uint64_t Seed,
   G.Seed = Seed;
   G.Frames = Frames;
   return generateScenario("valid-mix", G).Frames;
+}
+
+/// Drives \p M through runShardLoop to the end, resuming past monitor
+/// rejections as the end-to-end checker does, and collects its stats.
+ShardStats runToEnd(SoakMachine &M,
+                    const std::vector<devices::ScheduledFrame> &Frames,
+                    const SoakOptions &O) {
+  const devices::ScheduledFrame *Begin = Frames.data();
+  const devices::ScheduledFrame *End = Begin + Frames.size();
+  ShardExit E;
+  do
+    E = runShardLoop(M, Begin, End, O);
+  while (E == ShardExit::Violated);
+  return collectShardStats(M, E, Begin, End, O);
+}
+
+/// Every ShardStats field, compared one by one.
+void expectSameStats(const ShardStats &A, const ShardStats &B,
+                     const std::string &What) {
+  EXPECT_EQ(A.Ok, B.Ok) << What;
+  EXPECT_EQ(A.MonitorOk, B.MonitorOk) << What;
+  EXPECT_EQ(A.GroundTruthOk, B.GroundTruthOk) << What;
+  EXPECT_EQ(A.CrossCheckOk, B.CrossCheckOk) << What;
+  EXPECT_EQ(A.Drained, B.Drained) << What;
+  EXPECT_EQ(A.HitUb, B.HitUb) << What;
+  EXPECT_EQ(A.Diverged, B.Diverged) << What;
+  EXPECT_EQ(A.Error, B.Error) << What;
+  EXPECT_EQ(A.FramesDelivered, B.FramesDelivered) << What;
+  EXPECT_EQ(A.FramesAccepted, B.FramesAccepted) << What;
+  EXPECT_EQ(A.ValidCommands, B.ValidCommands) << What;
+  EXPECT_EQ(A.MmioEvents, B.MmioEvents) << What;
+  EXPECT_EQ(A.MonitorEventsSeen, B.MonitorEventsSeen) << What;
+  EXPECT_EQ(A.LightTransitions, B.LightTransitions) << What;
+  EXPECT_EQ(A.Cycles, B.Cycles) << What;
+  EXPECT_EQ(A.Retired, B.Retired) << What;
+  EXPECT_EQ(A.TraceHash, B.TraceHash) << What;
+  EXPECT_EQ(A.ViolationIndex, B.ViolationIndex) << What;
+  EXPECT_TRUE(A.DeliveredFrames == B.DeliveredFrames) << What;
 }
 
 } // namespace
@@ -163,25 +206,74 @@ TEST(ChainTracker, SurvivesTrackedVectorBeingMovedOut) {
 
 TEST(Checkpoint, SoakMachineRestoreReplaysIdentically) {
   // Run a prefix, checkpoint, run the suffix twice — once straight, once
-  // after restore — and demand the same retirement count and trace.
-  SoakMachine M(soakFirmware(), SoakCore::IsaSim, 1u << 20);
-  bool Ok = true;
-  M.Elapsed += M.runChunk(20000, Ok);
-  ASSERT_TRUE(Ok);
-  SoakMachine::Snapshot S = M.snapshot();
-  const uint64_t ElapsedAtSnap = M.Elapsed;
+  // after restore — and demand the same retirement count and trace. On
+  // the Kami core, trace() is a view converted from the label log: the
+  // restore must rewind it with the log, not keep the events it ran past.
+  for (SoakCore Core : {SoakCore::IsaSim, SoakCore::Pipelined}) {
+    SCOPED_TRACE(soakCoreName(Core));
+    SoakMachine M(soakFirmware(), Core, 1u << 20);
+    bool Ok = true;
+    M.Elapsed += M.runChunk(50000, Ok);
+    ASSERT_TRUE(Ok);
+    SoakMachine::Snapshot S = M.snapshot();
+    const uint64_t ElapsedAtSnap = M.Elapsed;
+    const size_t EventsAtSnap = M.trace().size();
 
-  M.Elapsed += M.runChunk(20000, Ok);
-  ASSERT_TRUE(Ok);
-  const uint64_t RetiredStraight = M.retired();
-  const uint64_t HashStraight = soakTraceHash(M.trace());
+    M.Elapsed += M.runChunk(50000, Ok);
+    ASSERT_TRUE(Ok);
+    const uint64_t RetiredStraight = M.retired();
+    const riscv::MmioTrace Straight = M.trace();
+    ASSERT_GT(Straight.size(), EventsAtSnap);
 
-  M.restore(S);
-  EXPECT_EQ(M.Elapsed, ElapsedAtSnap);
-  M.Elapsed += M.runChunk(20000, Ok);
-  ASSERT_TRUE(Ok);
-  EXPECT_EQ(M.retired(), RetiredStraight);
-  EXPECT_EQ(soakTraceHash(M.trace()), HashStraight);
+    M.restore(S);
+    EXPECT_EQ(M.Elapsed, ElapsedAtSnap);
+    EXPECT_EQ(M.trace().size(), EventsAtSnap);
+    M.Elapsed += M.runChunk(50000, Ok);
+    ASSERT_TRUE(Ok);
+    EXPECT_EQ(M.retired(), RetiredStraight);
+    EXPECT_TRUE(M.trace() == Straight);
+    EXPECT_EQ(M.traceHash(), soakTraceHash(Straight));
+  }
+}
+
+TEST(Checkpoint, CallerPolledWarmForkMatchesTheShard) {
+  // A kept-log warm fork whose caller feeds the monitor itself through
+  // pollTrace(trace()), as a traced benchmark loop does, must match the
+  // released shard in every field: the boot it forks from was fed by
+  // poll(), and pollTrace must continue right after those events.
+  const std::vector<devices::ScheduledFrame> Frames = scenarioFrames(31, 8);
+  SoakOptions O;
+  O.Core = SoakCore::Pipelined;
+  const ShardStats Shard = runSoakShard(soakFirmware(), Frames, O);
+  std::unique_ptr<SoakMachine> M = warmBootMachine(soakFirmware(), O);
+  ASSERT_TRUE(M);
+  const devices::ScheduledFrame *Begin = Frames.data();
+  const devices::ScheduledFrame *End = Begin + Frames.size();
+  devices::Platform &Plat = M->platform();
+  ShardExit Exit = ShardExit::Completed;
+  for (;;) {
+    while (M->NextFrame < Frames.size() && Plat.nic().rxEnabled() &&
+           Plat.nic().bufferedFrames() < O.FrameBudget) {
+      const devices::ScheduledFrame &F = Begin[M->NextFrame++];
+      Plat.injectNow(F.Frame, F.Errored);
+      M->Delivered.push_back({Plat.opCount(), F.Frame, F.Errored});
+    }
+    if (M->NextFrame == Frames.size() && Plat.nic().bufferedFrames() == 0) {
+      if (M->DrainFlagged)
+        break;
+      M->DrainFlagged = true;
+    }
+    bool Ok = true;
+    M->Elapsed += M->runChunk(O.ChunkCycles, Ok);
+    ASSERT_TRUE(Ok);
+    if (!M->monitor().pollTrace(M->trace())) {
+      Exit = ShardExit::Violated;
+      break;
+    }
+  }
+  EXPECT_TRUE(Shard.Ok) << Shard.Error;
+  expectSameStats(collectShardStats(*M, Exit, Begin, End, O), Shard,
+                  "caller-polled");
 }
 
 // -- Trace growth ------------------------------------------------------------
@@ -213,6 +305,175 @@ TEST(Checkpoint, ConvertedTraceGrowsGeometricallyAcrossPolls) {
   ASSERT_GT(Events, 0u);
   EXPECT_LE(Changes, 2 * std::log2(double(Events)) + 8)
       << Polls << " polls, " << Events << " events";
+}
+
+// -- The streamed trace sink -------------------------------------------------
+
+TEST(Checkpoint, TraceHashMixesEveryEventThenTheCount) {
+  // The fingerprint's definition, spelled out byte by byte: each event's
+  // store flag, address, value and size as eight-byte words, then the
+  // event count (last, so the hash can be folded as events stream past).
+  const riscv::MmioTrace T = {{true, 0x10024000, 5, 4},
+                              {false, 0x10024004, 0x12345678, 1}};
+  support::Fnv1a H;
+  auto Word = [&H](uint64_t V) {
+    for (int I = 0; I < 8; ++I)
+      H.byte(uint8_t(V >> (I * 8)));
+  };
+  for (const riscv::MmioEvent &E : T) {
+    Word(E.IsStore);
+    Word(E.Addr);
+    Word(E.Value);
+    Word(E.Size);
+  }
+  Word(T.size());
+  EXPECT_EQ(soakTraceHash(T), H.Value);
+}
+
+TEST(Checkpoint, StreamedTraceHashMatchesOfflineReferenceOnEveryCore) {
+  // A machine that keeps its log folds the fingerprint as events stream
+  // past; it must equal the offline reference over the whole trace.
+  const std::vector<devices::ScheduledFrame> Frames = scenarioFrames(9, 6);
+  for (SoakCore Core :
+       {SoakCore::Pipelined, SoakCore::SpecCore, SoakCore::IsaSim}) {
+    SoakOptions O;
+    O.Core = Core;
+    SoakMachine M(soakFirmware(), Core, O.RamBytes);
+    ShardStats S = runToEnd(M, Frames, O);
+    EXPECT_TRUE(S.Ok) << soakCoreName(Core) << ": " << S.Error;
+    EXPECT_EQ(S.MmioEvents, M.trace().size()) << soakCoreName(Core);
+    EXPECT_EQ(S.MonitorEventsSeen, S.MmioEvents) << soakCoreName(Core);
+    EXPECT_EQ(S.TraceHash, soakTraceHash(M.trace())) << soakCoreName(Core);
+  }
+}
+
+TEST(Checkpoint, StreamedTraceHashCoversRunsResumedPastViolation) {
+  // The FIFO-pipelined SPI driver leaves goodHlTrace (section 7.2.1). The
+  // monitor stops at the first offender, but the loop is resumed to the
+  // drain and the fingerprint must still cover every event — also on a
+  // released machine, whose log no longer holds the unfolded events.
+  app::FirmwareOptions FW;
+  FW.SpiPipelining = true;
+  compiler::CompileResult C = compiler::compileProgram(
+      app::buildFirmware(FW), compiler::CompilerOptions::o0(),
+      compiler::Entry::eventLoop("lightbulb_init", "lightbulb_loop"),
+      64 * 1024);
+  ASSERT_TRUE(C.ok()) << C.Error;
+  devices::SpiConfig Spi;
+  Spi.FifoDepth = 8;
+  const std::vector<devices::ScheduledFrame> Frames = scenarioFrames(3, 4);
+  for (SoakCore Core :
+       {SoakCore::Pipelined, SoakCore::SpecCore, SoakCore::IsaSim}) {
+    SoakOptions O;
+    O.Core = Core;
+    SoakMachine M(*C.Prog, Core, O.RamBytes, O.SimExec, Spi);
+    ShardStats S = runToEnd(M, Frames, O);
+    EXPECT_FALSE(S.MonitorOk) << soakCoreName(Core);
+    EXPECT_TRUE(S.Drained) << soakCoreName(Core);
+    EXPECT_LT(S.MonitorEventsSeen, S.MmioEvents) << soakCoreName(Core);
+    EXPECT_EQ(S.MmioEvents, M.trace().size()) << soakCoreName(Core);
+    EXPECT_EQ(S.TraceHash, soakTraceHash(M.trace())) << soakCoreName(Core);
+    SoakMachine R(*C.Prog, Core, O.RamBytes, O.SimExec, Spi);
+    R.releaseLog();
+    expectSameStats(runToEnd(R, Frames, O), S, soakCoreName(Core));
+  }
+}
+
+TEST(Checkpoint, ReleasedShardStatsEqualKeptLogRun) {
+  // runSoakShard releases its machine's log; a cold machine that keeps
+  // it must produce the same stats in every field — on a passing shard,
+  // on adversarial traffic, and under a monitor fault that fails it.
+  fi::FaultPlan Drop =
+      fi::FaultPlan::single(fi::Fault::TrafficMonitorDropEvent);
+  ScenarioOptions G;
+  G.Seed = 4;
+  G.Frames = 6;
+  const std::vector<devices::ScheduledFrame> Adversarial =
+      generateScenario("adversarial", G).Frames;
+  for (SoakCore Core :
+       {SoakCore::Pipelined, SoakCore::SpecCore, SoakCore::IsaSim}) {
+    for (unsigned Case = 0; Case != 3; ++Case) {
+      const std::vector<devices::ScheduledFrame> Frames =
+          Case == 1 ? Adversarial : scenarioFrames(13, 6);
+      SoakOptions O;
+      O.Core = Core;
+      if (Case == 2)
+        O.Plan = &Drop;
+      ShardStats Released = runSoakShard(soakFirmware(), Frames, O);
+
+      std::optional<fi::FaultScope> Scope;
+      if (O.Plan)
+        Scope.emplace(*O.Plan);
+      SoakMachine M(soakFirmware(), Core, O.RamBytes);
+      const devices::ScheduledFrame *Begin = Frames.data();
+      const devices::ScheduledFrame *End = Begin + Frames.size();
+      ShardStats Kept = collectShardStats(
+          M, runShardLoop(M, Begin, End, O), Begin, End, O);
+      expectSameStats(Released, Kept, std::string(soakCoreName(Core)) +
+                                          " case " + std::to_string(Case));
+      if (Case == 2) {
+        EXPECT_FALSE(Released.Ok) << soakCoreName(Core);
+      }
+    }
+  }
+}
+
+TEST(Checkpoint, ReleasedPipelinedLogBuffersOneChunk) {
+  // A released machine empties the core's label log at every poll, so
+  // the log's capacity is set by the busiest chunk (about 2 k events of a
+  // 100 k-cycle chunk here), not by the shard's length. A snapshot at an
+  // injection point (right after a poll) carries no labels.
+  struct Run {
+    size_t Capacity = 0;
+    uint64_t MaxChunkEvents = 0;
+    uint64_t Events = 0;
+  };
+  auto Drive = [](uint64_t NumFrames) {
+    const std::vector<devices::ScheduledFrame> Frames =
+        scenarioFrames(5, NumFrames);
+    SoakOptions O;
+    O.Core = SoakCore::Pipelined;
+    SoakMachine M(soakFirmware(), O.Core, O.RamBytes);
+    M.releaseLog();
+    EXPECT_THROW(M.trace(), std::logic_error);
+    EXPECT_THROW(M.labels(), std::logic_error);
+    std::optional<SoakMachine::Snapshot> Snap;
+    InjectHook Hook = [&](size_t Injected) {
+      if (Injected == NumFrames / 2)
+        Snap = M.snapshot();
+    };
+    Run R;
+    uint64_t Folded = 0;
+    ShardExit E;
+    do {
+      // One chunk per call, so the log is sampled after every poll.
+      O.MaxCyclesPerShard = M.Elapsed + O.ChunkCycles;
+      E = runShardLoop(M, Frames.data(), Frames.data() + Frames.size(), O,
+                       Hook);
+      R.MaxChunkEvents = std::max(R.MaxChunkEvents, M.mmioEvents() - Folded);
+      Folded = M.mmioEvents();
+      R.Capacity = std::max(R.Capacity, M.logCapacity());
+    } while (E == ShardExit::BudgetExhausted);
+    EXPECT_EQ(E, ShardExit::Completed);
+    EXPECT_EQ(M.NextFrame, Frames.size());
+    EXPECT_TRUE(Snap.has_value());
+    if (Snap) {
+      EXPECT_EQ(Snap->Pipe->Labels->Len, 0u);
+      EXPECT_TRUE(Snap->Pipe->Labels->Delta.empty());
+    }
+    R.Events = M.mmioEvents();
+    return R;
+  };
+  const Run Short = Drive(25), Long = Drive(200);
+  for (const Run &R : {Short, Long}) {
+    ASSERT_GT(R.MaxChunkEvents, 0u);
+    // push_back's geometric growth at most doubles the busiest chunk.
+    EXPECT_LT(R.Capacity, 2 * R.MaxChunkEvents);
+  }
+  // 8x the frames, at most one more doubling; a whole-shard log would
+  // need capacity for all of the long run's ~186 k events.
+  EXPECT_LE(Long.Capacity, 2 * Short.Capacity);
+  EXPECT_LT(Long.Capacity * 32, Long.Events);
 }
 
 // -- Snapshot-resume vs. straight-through bit-identity -----------------------
@@ -395,6 +656,32 @@ TEST(Checkpoint, WarmBootWithBlockEngineMatchesColdAndReference) {
     EXPECT_EQ(S->Diverged, C.Diverged);
   }
   EXPECT_TRUE(C.Ok) << C.Error;
+}
+
+TEST(Checkpoint, WarmBootMissAndHitShardsPublishTheSameMetrics) {
+#if !B2_METRICS
+  GTEST_SKIP() << "built with METRICS=OFF";
+#endif
+  // The first shard of a configuration on a thread boots it (a cache
+  // miss); later ones fork from the cache. Both must run the same shard:
+  // a miss that ran on the boot machine itself kept the block engine's
+  // boot-time translations, and the Det metrics then depended on the
+  // thread count.
+  std::vector<devices::ScheduledFrame> Frames = scenarioFrames(29, 6);
+  SoakOptions O;
+  O.Core = SoakCore::IsaSim;
+  O.MaxCyclesPerShard = 1'999'999'937; // A configuration no test booted.
+  metrics::resetAll();
+  ShardStats Miss = runSoakShard(soakFirmware(), Frames, O);
+  const metrics::Snapshot AfterMiss = metrics::snapshot();
+  metrics::resetAll();
+  ShardStats Hit = runSoakShard(soakFirmware(), Frames, O);
+  const metrics::Snapshot AfterHit = metrics::snapshot();
+  expectSameStats(Miss, Hit, "miss vs hit");
+  EXPECT_EQ(AfterMiss.counter(metrics::Id::CkptBootMisses), 1u);
+  EXPECT_EQ(AfterHit.counter(metrics::Id::CkptBootHits), 1u);
+  EXPECT_GT(AfterHit.counter(metrics::Id::SimBlockTranslations), 0u);
+  EXPECT_TRUE(AfterMiss.deterministicEquals(AfterHit));
 }
 
 TEST(Checkpoint, WarmBootIsBitIdenticalUnderAFaultPlan) {

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Args.h"
+#include "support/Fnv.h"
 #include "support/Format.h"
 #include "support/Rng.h"
 #include "support/Word.h"
@@ -80,6 +81,31 @@ TEST(Word, MulhuuMatches64BitProduct) {
   EXPECT_EQ(mulhuu(0xFFFFFFFFu, 0xFFFFFFFFu), 0xFFFFFFFEu);
   EXPECT_EQ(mulhuu(0x10000u, 0x10000u), 1u);
   EXPECT_EQ(mulhuu(2, 3), 0u);
+}
+
+TEST(Fnv1a, MatchesTheReferenceAndZeroExtendsNarrowWords) {
+  Fnv1a A;
+  A.byte('a');
+  EXPECT_EQ(A.Value, 0xaf63dc4c8601ec8cull); // FNV-1a-64 of "a".
+  // word(V) mixes V's eight-byte zero extension whatever V's width.
+  for (uint64_t V : {0ull, 1ull, 0xffull, 0x10024000ull, 0xdeadbeefull}) {
+    Fnv1a Bytes, Wide, Narrow;
+    for (int I = 0; I < 8; ++I)
+      Bytes.byte(uint8_t(V >> (I * 8)));
+    Wide.word(V);
+    Narrow.word(uint32_t(V));
+    EXPECT_EQ(Wide.Value, Bytes.Value) << V;
+    EXPECT_EQ(Narrow.Value, Bytes.Value) << V;
+    if (V <= 0xff) {
+      Fnv1a Byte;
+      Byte.word(uint8_t(V));
+      EXPECT_EQ(Byte.Value, Bytes.Value) << V;
+    }
+  }
+  Fnv1a True, One;
+  True.word(true);
+  One.word(uint64_t(1));
+  EXPECT_EQ(True.Value, One.Value);
 }
 
 TEST(Rng, DeterministicForSameSeed) {

@@ -284,7 +284,7 @@ TEST(Soak, ReportBitIdenticalAcrossThreadCounts) {
   std::string FourThreads =
       soakJson(runSoak(soakFirmware(), S, O, "valid-mix", G.Seed));
   EXPECT_EQ(OneThread, FourThreads);
-  EXPECT_NE(OneThread.find("\"schema\":\"b2stack-soak-v1\""),
+  EXPECT_NE(OneThread.find("\"schema\":\"b2stack-soak-v2\""),
             std::string::npos);
   EXPECT_NE(OneThread.find("\"shard_count\":5"), std::string::npos);
 }
