@@ -48,8 +48,7 @@ KernelResult runKernel(const bedrock2::Program &P, const std::string &Fn,
   riscv::Machine M(64 * 1024);
   M.loadImage(0, C.Prog->image());
   riscv::NoDevice D;
-  while (M.getPc() != C.Prog->HaltPc && riscv::step(M, D))
-    ;
+  riscv::runToPc(M, D, C.Prog->HaltPc);
   R.Instructions = M.retiredInstructions();
   R.CodeBytes = C.Prog->CodeBytes;
   return R;

@@ -43,8 +43,7 @@ Workload makeWorkload(const char *Name, const char *Src, Word Arg) {
   riscv::Machine M(64 * 1024);
   M.loadImage(0, W.Image);
   riscv::NoDevice D;
-  while (M.getPc() != C.Prog->HaltPc && riscv::step(M, D))
-    ;
+  riscv::runToPc(M, D, C.Prog->HaltPc);
   W.Instructions = M.retiredInstructions();
   return W;
 }

@@ -7,8 +7,9 @@
 // the correctness gate — any divergence between the engines fails the
 // bench). Two workloads: the lightbulb firmware event loop under deviced
 // MMIO traffic, and a corpus of random UB-free programs like the ones the
-// compiler differential checkers run. Emits BENCH_interp.json so the
-// speedup is tracked PR over PR.
+// compiler differential checkers run. Every row is the median (and IQR)
+// of repeated MinSeconds windows (bench/BenchUtil.h). Emits
+// BENCH_interp.json (schema b2stack-bench-v1) and METRICS_interp.json.
 //
 // Usage: interp_throughput [--quick]   (--quick shrinks the measurement
 // for CI smoke runs)
@@ -22,12 +23,9 @@
 #include "devices/Net.h"
 #include "devices/Platform.h"
 #include "riscv/Mmio.h"
-#include "support/Json.h"
 #include "support/Metrics.h"
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,114 +35,87 @@ using namespace b2::bedrock2;
 
 namespace {
 
-double now() {
-  using namespace std::chrono;
-  return duration<double>(steady_clock::now().time_since_epoch()).count();
-}
-
-struct Throughput {
-  uint64_t Statements = 0;
-  uint64_t Calls = 0;
-  double Seconds = 0;
-  double Sps = 0; ///< Statements (interpreter steps) per second.
-};
-
-/// The firmware event loop under a fixed, deterministic traffic schedule:
-/// a light-toggle command every fourth iteration. Identical across modes,
-/// so the engines see the same work.
-Throughput measureFirmware(const Program &P, ExecMode Mode,
-                           double MinSeconds, bool &DiffOk,
-                           std::string &Error) {
-  // One interpreter for the whole measurement: compile once, run many —
-  // the engine's intended usage (CompilerDiff and the fuzz harnesses all
-  // reuse one Interp across calls).
+/// One MinSeconds window of the firmware event loop under a fixed,
+/// deterministic traffic schedule (a light-toggle command every fourth
+/// iteration, identical across modes), in statements per second. One
+/// interpreter serves the whole window: compile once, run many — the
+/// engine's intended usage (CompilerDiff and the fuzz harnesses all reuse
+/// one Interp across calls).
+double firmwareSps(const Program &P, ExecMode Mode, double MinSeconds,
+                   bool &DiffOk, std::string &Error) {
   devices::Platform Plat;
   MmioExtSpec Ext(Plat, 64 * 1024);
   Interp I(P, Ext, 50'000'000, StackallocPolicy(), Mode);
-  Throughput T;
   ExecResult R = I.callFunction("lightbulb_init", {});
   if (!R.ok()) {
     Error = "lightbulb_init faulted: " + std::string(faultName(R.F));
-    return T;
+    return 0;
   }
   bool LightOn = true;
   uint64_t K = 0;
-  double Start = now();
-  do {
-    if (K % 4 == 0) {
-      Plat.injectNow(devices::buildCommandFrame(LightOn));
-      LightOn = !LightOn;
-    }
-    ++K;
-    R = I.callFunction("lightbulb_loop", {});
-    T.Statements += R.StepsUsed;
-    ++T.Calls;
-    if (!R.ok()) {
-      Error = "lightbulb_loop faulted: " + std::string(faultName(R.F));
-      break;
-    }
-    T.Seconds = now() - Start;
-  } while (T.Seconds < MinSeconds);
+  double Sps = bench::timeWindow(MinSeconds, [&]() -> uint64_t {
+                 if (K++ % 4 == 0) {
+                   Plat.injectNow(devices::buildCommandFrame(LightOn));
+                   LightOn = !LightOn;
+                 }
+                 R = I.callFunction("lightbulb_loop", {});
+                 if (R.ok())
+                   return R.StepsUsed;
+                 Error = "lightbulb_loop faulted: " +
+                         std::string(faultName(R.F));
+                 return 0;
+               }).rate();
   if (I.divergenceCount() != 0) {
     DiffOk = false;
     Error = I.divergence();
   }
-  T.Seconds = now() - Start;
-  T.Sps = T.Statements / (T.Seconds > 0 ? T.Seconds : 1e-9);
-  return T;
+  return Sps;
 }
 
-/// A corpus of random UB-free programs (the same generator the compiler
-/// differential tests fuzz with), re-run round-robin until the clock
-/// expires.
-Throughput measureCorpus(const std::vector<Program> &Corpus, ExecMode Mode,
-                         double MinSeconds, bool &DiffOk,
-                         std::string &Error) {
-  // One interpreter per corpus program, reused across rounds (compile
-  // once, run many).
+/// One MinSeconds window of a corpus of random UB-free programs (the
+/// generator the compiler differential tests fuzz with), run round-robin,
+/// in statements per second. One interpreter per program, reused across
+/// rounds.
+double corpusSps(const std::vector<Program> &Corpus, ExecMode Mode,
+                 double MinSeconds, bool &DiffOk, std::string &Error) {
   riscv::NoDevice Dev;
   MmioExtSpec Ext(Dev, 64 * 1024);
   std::vector<std::unique_ptr<Interp>> Interps;
   for (const Program &P : Corpus)
     Interps.push_back(std::make_unique<Interp>(P, Ext, 10'000'000,
                                                StackallocPolicy(), Mode));
-  Throughput T;
-  double Start = now();
   uint64_t Round = 0;
-  do {
-    for (size_t PI = 0; PI != Corpus.size(); ++PI) {
-      Interp &I = *Interps[PI];
-      ExecResult R =
-          I.callFunction("main", {Word(PI * 7 + Round), Word(~Round)});
-      T.Statements += R.StepsUsed;
-      ++T.Calls;
-      if (!R.ok()) {
-        Error = "corpus program " + std::to_string(PI) +
-                " faulted: " + faultName(R.F) + " (" + R.Detail + ")";
-        break;
-      }
-      if (I.divergenceCount() != 0) {
-        DiffOk = false;
-        Error = I.divergence();
-        break;
-      }
-    }
-    ++Round;
-    T.Seconds = now() - Start;
-  } while (Error.empty() && T.Seconds < MinSeconds);
-  T.Seconds = now() - Start;
-  T.Sps = T.Statements / (T.Seconds > 0 ? T.Seconds : 1e-9);
-  return T;
+  return bench::timeWindow(MinSeconds, [&]() -> uint64_t {
+           uint64_t Statements = 0;
+           for (size_t PI = 0; PI != Corpus.size(); ++PI) {
+             Interp &I = *Interps[PI];
+             ExecResult R =
+                 I.callFunction("main", {Word(PI * 7 + Round), Word(~Round)});
+             Statements += R.StepsUsed;
+             if (!R.ok()) {
+               Error = "corpus program " + std::to_string(PI) +
+                       " faulted: " + faultName(R.F) + " (" + R.Detail + ")";
+               return 0;
+             }
+             if (I.divergenceCount() != 0) {
+               DiffOk = false;
+               Error = I.divergence();
+               return 0;
+             }
+           }
+           ++Round;
+           return Statements;
+         })
+      .rate();
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
-  bool Quick = false;
-  for (int I = 1; I < argc; ++I)
-    if (std::strcmp(argv[I], "--quick") == 0)
-      Quick = true;
-  const double MinSeconds = Quick ? 0.15 : 0.6;
+  const bool Quick = bench::quickFlag(argc, argv);
+  const double MinSeconds = Quick ? 0.05 : 0.2;
+  const unsigned Reps = Quick ? 3 : 5;
+  bench::Report Rep("interp_throughput", Quick);
 
   std::printf("== interp_throughput: checking-interpreter statements/second "
               "per engine ==\n\n");
@@ -154,100 +125,38 @@ int main(int argc, char **argv) {
   for (uint64_t Seed = 0; Seed != 12; ++Seed)
     Corpus.push_back(b2::testing::RandomProgramGen(Seed).generate());
 
-  const ExecMode Modes[] = {ExecMode::Reference, ExecMode::Fast,
-                            ExecMode::Differential};
-  struct Row {
-    std::string Workload;
-    std::string Mode;
-    Throughput T;
-  };
-  std::vector<Row> Rows;
   bool DiffOk = true;
-  // Best-of-N windows per engine: each window is a fresh measurement and
-  // the highest throughput is kept, which rejects one-sided OS noise
-  // (preemption, frequency dips) the same way for every engine.
-  const int Reps = Quick ? 1 : 3;
-  auto bestOf = [Reps](auto Measure) {
-    Throughput Best;
-    for (int K = 0; K != Reps; ++K) {
-      Throughput T = Measure();
-      if (T.Sps > Best.Sps)
-        Best = T;
+  for (ExecMode Mode :
+       {ExecMode::Reference, ExecMode::Fast, ExecMode::Differential}) {
+    for (const char *Workload : {"firmware_loop", "random_corpus"}) {
+      std::string Error;
+      std::vector<double> Sps = bench::repeat(Reps, [&] {
+        return Workload == std::string("firmware_loop")
+                   ? firmwareSps(Firmware, Mode, MinSeconds, DiffOk, Error)
+                   : corpusSps(Corpus, Mode, MinSeconds, DiffOk, Error);
+      });
+      if (!Error.empty()) {
+        std::fprintf(stderr, "%s [%s]: %s\n", Workload, execModeName(Mode),
+                     Error.c_str());
+        DiffOk = false;
+      }
+      Rep.row("bedrock2", Workload, execModeName(Mode), "stmts_per_sec", "1/s",
+              true, bench::summarize(Sps));
     }
-    return Best;
-  };
-  for (ExecMode Mode : Modes) {
-    std::string Error;
-    Rows.push_back({"firmware_loop", execModeName(Mode), bestOf([&] {
-                      return measureFirmware(Firmware, Mode, MinSeconds,
-                                             DiffOk, Error);
-                    })});
-    if (!Error.empty())
-      std::fprintf(stderr, "firmware_loop [%s]: %s\n", execModeName(Mode),
-                   Error.c_str());
-    Error.clear();
-    Rows.push_back({"random_corpus", execModeName(Mode), bestOf([&] {
-                      return measureCorpus(Corpus, Mode, MinSeconds, DiffOk,
-                                           Error);
-                    })});
-    if (!Error.empty())
-      std::fprintf(stderr, "random_corpus [%s]: %s\n", execModeName(Mode),
-                   Error.c_str());
   }
 
-  bench::Table Tab({"workload", "engine", "stmts/sec", "statements", "calls"});
-  for (const Row &R : Rows)
-    Tab.row({R.Workload, R.Mode, bench::fixed(R.T.Sps / 1e6, 2) + " M",
-             std::to_string(R.T.Statements), std::to_string(R.T.Calls)});
-  Tab.print();
-
-  auto spsOf = [&Rows](const std::string &W, const std::string &M) {
-    for (const Row &R : Rows)
-      if (R.Workload == W && R.Mode == M)
-        return R.T.Sps;
-    return 0.0;
+  Rep.finish("BENCH_interp.json");
+  auto Speedup = [&Rep](const char *Workload) {
+    double Ref = Rep.median(Workload, "reference", "stmts_per_sec");
+    return bench::withTimes(
+        Ref > 0 ? Rep.median(Workload, "fast", "stmts_per_sec") / Ref : 0, 2);
   };
-  double FwSpeedup =
-      spsOf("firmware_loop", "fast") /
-      std::max(spsOf("firmware_loop", "reference"), 1e-9);
-  double CorpusSpeedup =
-      spsOf("random_corpus", "fast") /
-      std::max(spsOf("random_corpus", "reference"), 1e-9);
-  std::printf("\nbytecode speedup over reference walker: firmware %s, "
-              "corpus %s\n",
-              bench::withTimes(FwSpeedup, 2).c_str(),
-              bench::withTimes(CorpusSpeedup, 2).c_str());
+  std::printf("bytecode speedup over reference walker (ratio of medians): "
+              "firmware %s, corpus %s\n",
+              Speedup("firmware_loop").c_str(),
+              Speedup("random_corpus").c_str());
   std::printf("differential (walker vs bytecode): %s\n",
               DiffOk ? "identical" : "DIVERGED");
-
-  support::JsonWriter J;
-  J.beginObject();
-  J.key("bench").value("interp_throughput");
-  J.key("quick").value(Quick);
-  J.key("reps").value(uint64_t(Reps));
-  J.key("workloads").beginArray();
-  for (const Row &R : Rows) {
-    J.beginObject();
-    J.key("workload").value(R.Workload);
-    J.key("engine").value(R.Mode);
-    J.key("statements").value(R.T.Statements);
-    J.key("calls").value(R.T.Calls);
-    J.key("seconds").value(R.T.Seconds);
-    J.key("stmts_per_sec").value(R.T.Sps);
-    J.endObject();
-  }
-  J.endArray();
-  J.key("speedups").beginObject();
-  J.key("firmware_fast_vs_reference").value(FwSpeedup);
-  J.key("corpus_fast_vs_reference").value(CorpusSpeedup);
-  J.endObject();
-  J.key("differential_ok").value(DiffOk);
-  J.endObject();
-  const char *OutPath = "BENCH_interp.json";
-  if (!support::writeFile(OutPath, J.str()))
-    std::fprintf(stderr, "failed to write %s\n", OutPath);
-  else
-    std::printf("wrote %s\n", OutPath);
 
   const char *MetricsPath = "METRICS_interp.json";
   if (!metrics::writeMetricsFile(MetricsPath, "interp_throughput"))

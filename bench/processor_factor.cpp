@@ -53,8 +53,7 @@ CoreCycles runBothCores(const char *Src, const std::string &Fn,
   riscv::Machine M(64 * 1024);
   M.loadImage(0, C.Prog->image());
   riscv::NoDevice D0;
-  while (M.getPc() != C.Prog->HaltPc && riscv::step(M, D0))
-    ;
+  riscv::runToPc(M, D0, C.Prog->HaltPc);
   uint64_t N = M.retiredInstructions();
 
   riscv::NoDevice D1, D2;

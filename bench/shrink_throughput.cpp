@@ -20,12 +20,15 @@
 // deployed pipeline the failing shard runs under the checkpoint layer,
 // so the tree is a byproduct of discovery); after that, probe_cycles
 // counts the cycles each shrinker's ddmin loop actually simulates. The
-// bench asserts the checkpointed probe loop runs >= 3x fewer simulated
-// cycles than cold replay (>= 2x for the smaller --quick scenario) AND
-// that the two paths are bit-identical: same shrunk frame bytes, same
-// oracle verdict trajectory, same violation index. A speedup bought by
-// diverging verdicts would be a correctness bug, so identity failures
-// fail the bench.
+// bench gates the checkpointed probe loop at >= 3x fewer simulated
+// cycles than cold replay (>= 2x for the smaller --quick scenario; a
+// simulated count, so --quick enforces it too) and asserts that the two
+// paths are bit-identical: same shrunk frame bytes, same oracle verdict
+// trajectory, same violation index. A speedup bought by diverging
+// verdicts would be a correctness bug, so identity failures fail the
+// bench. Emits BENCH_shrink.json (schema b2stack-bench-v1): each
+// oracle's median shrink time and its deterministic probe cycles and
+// oracle runs.
 //
 // Usage: shrink_throughput [--quick]   (--quick shrinks the scenario for
 // CI smoke runs)
@@ -34,15 +37,12 @@
 
 #include "BenchUtil.h"
 #include "devices/Net.h"
-#include "support/Json.h"
 #include "support/Rng.h"
 #include "traffic/Shrink.h"
 #include "traffic/Soak.h"
 #include "verify/FaultInjection.h"
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -50,11 +50,6 @@ using namespace b2;
 using namespace b2::traffic;
 
 namespace {
-
-double now() {
-  using namespace std::chrono;
-  return duration<double>(steady_clock::now().time_since_epoch()).count();
-}
 
 /// The seeded failing stream: deterministic UDP chaff (first payload
 /// byte forced even so no chaff frame is ever a valid command) with one
@@ -103,16 +98,14 @@ uint64_t framesHash(const std::vector<devices::ScheduledFrame> &Frames) {
 struct Leg {
   std::string Oracle;
   ShrunkCounterexample Shrunk;
-  double Seconds = 0;
+  std::vector<double> Seconds; ///< One entry per repetition.
 };
 
 } // namespace
 
 int main(int argc, char **argv) {
-  bool Quick = false;
-  for (int I = 1; I < argc; ++I)
-    if (std::strcmp(argv[I], "--quick") == 0)
-      Quick = true;
+  const bool Quick = bench::quickFlag(argc, argv);
+  bench::Report Rep("shrink_throughput", Quick);
 
   std::printf("== shrink_throughput: checkpointed vs cold-replay ddmin ==\n\n");
 
@@ -148,12 +141,15 @@ int main(int argc, char **argv) {
   std::vector<Leg> Legs(2);
   Legs[0].Oracle = "cold";
   Legs[1].Oracle = "checkpointed";
-  for (Leg &L : Legs) {
-    double T0 = now();
-    L.Shrunk = shrinkSoakFailure(*C.Prog, Seeded.DeliveredFrames,
-                                 L.Oracle == "cold" ? Cold : Warm);
-    L.Seconds = now() - T0;
-  }
+  for (Leg &L : Legs)
+    L.Seconds = bench::repeat(Quick ? 1 : 5, [&] {
+      return bench::timeWindow(0, [&]() -> uint64_t {
+               L.Shrunk = shrinkSoakFailure(*C.Prog, Seeded.DeliveredFrames,
+                                            L.Oracle == "cold" ? Cold : Warm);
+               return 1;
+             })
+          .Seconds;
+    });
 
   const Leg &LC = Legs[0], &LW = Legs[1];
   bool AllOk = true;
@@ -185,59 +181,21 @@ int main(int argc, char **argv) {
   const double EndToEnd =
       WarmTotal ? double(LC.Shrunk.Work.SimulatedCycles) / double(WarmTotal)
                 : 0;
-  char What[96];
-  std::snprintf(What, sizeof What,
-                "probe speedup %.2fx >= %.1fx (checkpointed vs cold)", Speedup,
-                MinSpeedup);
-  Check(Speedup >= MinSpeedup, What);
-
-  bench::Table Tab({"oracle", "oracle runs", "probe cycles", "skipped",
-                    "prime cycles", "shrunk", "seconds"});
-  for (const Leg &L : Legs)
-    Tab.row({L.Oracle, std::to_string(L.Shrunk.Result.OracleRuns),
-             std::to_string(L.Shrunk.Work.SimulatedCycles),
-             std::to_string(L.Shrunk.Work.SkippedCycles),
-             std::to_string(L.Shrunk.Work.PrimeCycles),
-             std::to_string(L.Shrunk.Result.Frames.size()),
-             bench::fixed(L.Seconds, 3)});
-  Tab.print();
-  std::printf("\nprobe speedup: %.2fx (threshold %.1fx); end-to-end incl. "
-              "handoff replay: %.2fx\n",
-              Speedup, MinSpeedup, EndToEnd);
-
-  support::JsonWriter J;
-  J.beginObject();
-  J.key("bench").value("shrink_throughput");
-  J.key("quick").value(Quick);
-  J.key("scenario_frames").value(uint64_t(Frames));
-  J.key("shrinks").beginArray();
+  Rep.gate("probe_speedup_checkpointed_vs_cold", Speedup, ">=", MinSpeedup,
+           /*Exact=*/true);
   for (const Leg &L : Legs) {
-    const ShrunkCounterexample &S = L.Shrunk;
-    J.beginObject();
-    J.key("scenario").value("cross-frame-latch-pair");
-    J.key("oracle").value(L.Oracle);
-    J.key("oracle_runs").value(S.Result.OracleRuns);
-    J.key("resumed_runs").value(S.Work.ResumedRuns);
-    J.key("probe_cycles").value(S.Work.SimulatedCycles);
-    J.key("skipped_cycles").value(S.Work.SkippedCycles);
-    J.key("prime_cycles").value(S.Work.PrimeCycles);
-    J.key("checkpoints").value(S.Work.Checkpoints);
-    J.key("shrunk_frames").value(uint64_t(S.Result.Frames.size()));
-    J.key("shrunk_hash").value(framesHash(S.Result.Frames));
-    J.key("seconds").value(L.Seconds);
-    J.key("speedup_vs_cold").value(L.Oracle == "cold" ? 1.0 : Speedup);
-    J.endObject();
+    const std::string W = "cross-frame-latch-pair";
+    Rep.row("traffic", W, L.Oracle, "shrink_seconds", "s", false,
+            bench::summarize(L.Seconds));
+    Rep.row("traffic", W, L.Oracle, "probe_cycles", "cycles", false,
+            bench::summarize({double(L.Shrunk.Work.SimulatedCycles)}),
+            /*Deterministic=*/true);
+    Rep.row("traffic", W, L.Oracle, "oracle_runs", "count", false,
+            bench::summarize({double(L.Shrunk.Result.OracleRuns)}),
+            /*Deterministic=*/true);
   }
-  J.endArray();
-  J.key("probe_speedup").value(Speedup);
-  J.key("end_to_end_speedup").value(EndToEnd);
-  J.key("all_ok").value(AllOk);
-  J.endObject();
-  const char *OutPath = "BENCH_shrink.json";
-  if (!support::writeFile(OutPath, J.str()))
-    std::fprintf(stderr, "failed to write %s\n", OutPath);
-  else
-    std::printf("wrote %s\n", OutPath);
-
-  return AllOk ? 0 : 1;
+  Rep.finish("BENCH_shrink.json");
+  std::printf("end-to-end probe speedup incl. handoff replay: %.2fx\n",
+              EndToEnd);
+  return AllOk && Rep.gatesOk() ? 0 : 1;
 }

@@ -9,17 +9,19 @@
 // per-cycle reference tick() (the pipelined_core rows) and the
 // instruction-stepped engine (kami/PipeEngine.h, the pipelined_fast
 // rows). Each fast engine is checked against its reference through its
-// own lockstep Differential mode before any number is reported. Full
-// mode gates the block engine at >= 4.0x the stepper and the pipelined
-// fast engine at >= 3.5x tick() on the firmware end-to-end rows.
-// Measurements use best-of-N windows, like interp_throughput: each
-// window is a fresh measurement and the highest throughput is kept,
-// rejecting one-sided OS noise identically for every engine. Emits
-// machine-readable BENCH_sim.json so the perf trajectory is tracked PR
-// over PR.
+// own lockstep Differential mode before any number is reported.
+//
+// Every row is the median (and IQR) of repeated MinSeconds windows
+// (bench/BenchUtil.h). The rows a gate compares are measured as
+// interleaved pairs, the first side alternating, and each gate reads the
+// median of the per-pair ratios, so host drift between the two sides
+// cancels. Full mode gates the block engine at >= 4.0x the stepper and
+// the pipelined fast engine at >= 3.5x tick() on the firmware end-to-end
+// rows, and the metrics layer at < 2% on the Block rows. Emits
+// BENCH_sim.json (schema b2stack-bench-v1) and METRICS_sim.json.
 //
 // Usage: sim_throughput [--quick]   (--quick shrinks the measurement for
-// CI smoke runs)
+// CI smoke runs and records the gates without enforcing them)
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,15 +37,13 @@
 #include "riscv/BlockEngine.h"
 #include "riscv/Machine.h"
 #include "riscv/Step.h"
-#include "support/Json.h"
 #include "support/Metrics.h"
 #include "traffic/Checkpoint.h"
 #include "verify/EndToEnd.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,11 +51,6 @@ using namespace b2;
 using namespace b2::isa;
 
 namespace {
-
-double now() {
-  using namespace std::chrono;
-  return duration<double>(steady_clock::now().time_since_epoch()).count();
-}
 
 /// A self-looping ALU-heavy kernel (never halts, never traps).
 std::vector<uint8_t> aluLoopImage() {
@@ -90,60 +85,53 @@ std::vector<uint8_t> memLoopImage() {
   return instrencode(P);
 }
 
-struct Throughput {
-  uint64_t Instructions = 0;
-  double Seconds = 0;
-  double Ips = 0;
-};
-
-/// Steps the reference ISA simulator in fixed-size batches until
-/// \p MinSeconds of wall time have elapsed.
-Throughput measureIsaSim(const std::vector<uint8_t> &Image,
-                         double MinSeconds) {
-  riscv::Machine M(64 * 1024);
-  M.loadImage(0, Image);
-  riscv::NoDevice D;
+/// One MinSeconds window of a kernel on \p Substrate, in instructions
+/// retired per second. The ISA simulator runs its reference stepper
+/// (isa_sim_uncached) or its superblock trace engine (isa_sim_block); the
+/// Kami cores run their own run() (spec_core, pipelined_core: tick()) or
+/// the pipelined core's instruction-stepped engine (pipelined_fast). One
+/// untimed batch runs first.
+double kernelIps(const std::string &Substrate,
+                 const std::vector<uint8_t> &Image, double MinSeconds) {
   const uint64_t Batch = 1'000'000;
-  Throughput T;
-  double Start = now();
-  do {
-    uint64_t N = riscv::run(M, D, Batch);
-    T.Instructions += N;
-    if (N != Batch) {
+  riscv::NoDevice D;
+  if (Substrate == "isa_sim_uncached" || Substrate == "isa_sim_block") {
+    riscv::Machine M(64 * 1024);
+    M.loadImage(0, Image);
+    std::optional<riscv::BlockEngine> E;
+    if (Substrate == "isa_sim_block")
+      E.emplace(M, D, riscv::ExecMode::Block);
+    auto Step = [&]() -> uint64_t {
+      uint64_t N = E ? E->run(Batch) : riscv::run(M, D, Batch);
+      if (N == Batch)
+        return N;
       std::fprintf(stderr, "kernel hit UB: %s\n",
                    riscv::ubKindName(M.ubKind()));
-      break;
-    }
-    T.Seconds = now() - Start;
-  } while (T.Seconds < MinSeconds);
-  T.Ips = T.Instructions / (T.Seconds > 0 ? T.Seconds : 1e-9);
-  return T;
-}
-
-/// The superblock trace engine on the same kernel: hot blocks translate
-/// to micro-op traces and chain via direct links, so steady state runs
-/// almost entirely inside execTraces.
-Throughput measureBlockEngine(const std::vector<uint8_t> &Image,
-                              double MinSeconds) {
-  riscv::Machine M(64 * 1024);
-  M.loadImage(0, Image);
-  riscv::NoDevice D;
-  riscv::BlockEngine E(M, D, riscv::ExecMode::Block);
-  const uint64_t Batch = 1'000'000;
-  Throughput T;
-  double Start = now();
-  do {
-    uint64_t N = E.run(Batch);
-    T.Instructions += N;
-    if (N != Batch) {
-      std::fprintf(stderr, "kernel hit UB: %s\n",
-                   riscv::ubKindName(M.ubKind()));
-      break;
-    }
-    T.Seconds = now() - Start;
-  } while (T.Seconds < MinSeconds);
-  T.Ips = T.Instructions / (T.Seconds > 0 ? T.Seconds : 1e-9);
-  return T;
+      return 0;
+    };
+    Step(); // First touches and translation stay out of the window.
+    return bench::timeWindow(MinSeconds, Step).rate();
+  }
+  kami::Bram Mem(64 * 1024);
+  Mem.loadImage(Image);
+  auto Retired = [&](auto &C, auto Run) {
+    auto Step = [&] {
+      uint64_t Before = C.retired();
+      Run(Batch);
+      return C.retired() - Before;
+    };
+    Step();
+    return bench::timeWindow(MinSeconds, Step).rate();
+  };
+  if (Substrate == "spec_core") {
+    kami::SpecCore C(Mem, D);
+    return Retired(C, [&](uint64_t N) { C.run(N); });
+  }
+  kami::PipelinedCore C(Mem, D);
+  if (Substrate == "pipelined_core")
+    return Retired(C, [&](uint64_t N) { C.run(N); });
+  kami::PipeEngine E(C, riscv::ExecMode::Block);
+  return Retired(C, [&](uint64_t N) { E.run(N); });
 }
 
 /// Block-vs-reference lockstep on a kernel: the engine's own
@@ -169,46 +157,6 @@ bool diffBlockReference(const std::vector<uint8_t> &Image, uint64_t Steps,
   return true;
 }
 
-/// Same measurement for the Kami-level cores (retired instructions/sec):
-/// \p Run advances core \p C by a batch of cycles.
-template <typename Core, typename RunFn>
-Throughput measureRetired(Core &C, double MinSeconds, RunFn Run) {
-  const uint64_t Batch = 1'000'000;
-  Throughput T;
-  double Start = now();
-  do {
-    uint64_t Before = C.retired();
-    Run(Batch);
-    T.Instructions += C.retired() - Before;
-    T.Seconds = now() - Start;
-  } while (T.Seconds < MinSeconds);
-  T.Ips = T.Instructions / (T.Seconds > 0 ? T.Seconds : 1e-9);
-  return T;
-}
-
-/// A Kami-level core stepped by its own run(): tick() for the pipelined
-/// core.
-template <typename Core>
-Throughput measureKamiCore(const std::vector<uint8_t> &Image,
-                           double MinSeconds) {
-  kami::Bram Mem(64 * 1024);
-  Mem.loadImage(Image);
-  riscv::NoDevice D;
-  Core C(Mem, D);
-  return measureRetired(C, MinSeconds, [&C](uint64_t N) { C.run(N); });
-}
-
-/// The pipelined core driven by its instruction-stepped engine.
-Throughput measurePipeFast(const std::vector<uint8_t> &Image,
-                           double MinSeconds) {
-  kami::Bram Mem(64 * 1024);
-  Mem.loadImage(Image);
-  riscv::NoDevice D;
-  kami::PipelinedCore C(Mem, D);
-  kami::PipeEngine E(C, riscv::ExecMode::Block);
-  return measureRetired(C, MinSeconds, [&E](uint64_t N) { E.run(N); });
-}
-
 /// Fast-vs-tick lockstep on a kernel: the engine's Differential mode
 /// replays every chunk through tick() on a shadow core and compares the
 /// whole core state and BRAM.
@@ -229,42 +177,69 @@ bool diffPipeReference(const std::vector<uint8_t> &Image, uint64_t Cycles,
   return true;
 }
 
+/// One MinSeconds window of firmware end-to-end runs, in instructions
+/// retired per second. Each step runs a fresh machine (built untimed) for
+/// the checked run's cycle count in one runChunk, so machine
+/// construction, monitor polls and the trace-spec verification are not
+/// counted as simulator throughput. Every run's trace, retirement count
+/// and light history must equal the checked run's; \p Ok becomes false
+/// otherwise. Metrics are paused, so the ratios derived from
+/// METRICS_sim.json do not depend on how many runs fit in a window.
+double firmwareIps(const compiler::CompiledProgram &Prog,
+                   const verify::E2EScenario &S, const verify::E2EOptions &O,
+                   riscv::ExecMode Exec, const verify::E2EResult &Checked,
+                   double MinSeconds, bool &Ok) {
+  metrics::PauseScope Pause;
+  std::optional<traffic::SoakMachine> M;
+  auto CheckLast = [&] {
+    if (M && !(M->trace() == Checked.Trace && M->retired() == Checked.Retired &&
+               M->platform().gpio().lightHistory() == Checked.LightHistory))
+      Ok = false;
+  };
+  bench::Window W = bench::timeWindow(
+      MinSeconds,
+      [&]() -> uint64_t {
+        bool RunOk = true;
+        M->runChunk(Checked.Cycles, RunOk);
+        Ok &= RunOk;
+        return RunOk ? M->retired() : 0;
+      },
+      [&] {
+        CheckLast();
+        M.emplace(Prog, O.Core, O.RamBytes, Exec);
+        for (const devices::ScheduledFrame &F : S.Frames)
+          M->platform().scheduleFrame(F.AtOp, F.Frame, F.Errored);
+      });
+  CheckLast();
+  return W.rate();
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
-  bool Quick = false;
-  for (int I = 1; I < argc; ++I)
-    if (std::strcmp(argv[I], "--quick") == 0)
-      Quick = true;
-  const double MinSeconds = Quick ? 0.15 : 0.6;
+  const bool Quick = bench::quickFlag(argc, argv);
+  // Many short pairs rather than a few long ones: the two windows of a
+  // short pair see the same host, so the per-pair ratios scatter less
+  // (IQR ~3% at 20 ms against ~6% at 100 ms), and the median of 205 of
+  // them moves far less than the 2% metrics-overhead bound.
+  const double MinSeconds = Quick ? 0.01 : 0.02;
+  const unsigned Reps = Quick ? 3 : 25;
+  const unsigned NPairs = Quick ? 15 : 205;
+  bench::Report Rep("sim_throughput", Quick);
+  auto AddRow = [&Rep](const std::string &Workload, const std::string &Variant,
+                       const std::vector<double> &Ips) {
+    Rep.row(Variant.rfind("isa_sim", 0) == 0 ? "riscv" : "kami", Workload,
+            Variant, "instr_per_sec", "1/s", true, bench::summarize(Ips));
+  };
 
   std::printf("== sim_throughput: instructions/second per substrate ==\n\n");
 
-  struct Row {
-    std::string Kernel;
-    std::string Substrate;
-    Throughput T;
-  };
-  std::vector<Row> Rows;
-  std::vector<std::pair<std::string, std::vector<uint8_t>>> Kernels = {
-      {"alu_loop", aluLoopImage()}, {"mem_loop", memLoopImage()}};
-
-  // Best-of-N windows per substrate (interp_throughput's discipline):
-  // each window is a fresh measurement and the highest throughput wins.
-  const int Reps = Quick ? 1 : 3;
-  auto bestOf = [Reps](auto Measure) {
-    Throughput Best;
-    for (int K = 0; K != Reps; ++K) {
-      Throughput T = Measure();
-      if (T.Ips > Best.Ips)
-        Best = T;
-    }
-    return Best;
-  };
-
   std::string DiffError;
   bool DiffOk = true;
-  for (const auto &[Name, Image] : Kernels) {
+  for (const auto &[Name, Image] :
+       {std::pair<std::string, std::vector<uint8_t>>{"alu_loop",
+                                                      aluLoopImage()},
+        {"mem_loop", memLoopImage()}}) {
     if (!diffBlockReference(Image, Quick ? 200'000 : 2'000'000, DiffError)) {
       std::fprintf(stderr, "block lockstep FAILED on %s: %s\n", Name.c_str(),
                    DiffError.c_str());
@@ -275,281 +250,114 @@ int main(int argc, char **argv) {
                    Name.c_str(), DiffError.c_str());
       DiffOk = false;
     }
-    Rows.push_back({Name, "isa_sim_uncached", bestOf([&] {
-                      return measureIsaSim(Image, MinSeconds);
-                    })});
-    Rows.push_back({Name, "isa_sim_block", bestOf([&] {
-                      return measureBlockEngine(Image, MinSeconds);
-                    })});
-    Rows.push_back({Name, "spec_core", bestOf([&] {
-                      return measureKamiCore<kami::SpecCore>(Image,
-                                                             MinSeconds);
-                    })});
-    Rows.push_back({Name, "pipelined_core", bestOf([&] {
-                      return measureKamiCore<kami::PipelinedCore>(
-                          Image, MinSeconds);
-                    })});
-    Rows.push_back({Name, "pipelined_fast", bestOf([&] {
-                      return measurePipeFast(Image, MinSeconds);
-                    })});
+    for (const char *Sub : {"isa_sim_uncached", "spec_core", "pipelined_core",
+                            "pipelined_fast"})
+      AddRow(Name, Sub, bench::repeat(Reps, [&] {
+               return kernelIps(Sub, Image, MinSeconds);
+             }));
+    // Metrics overhead: the observability layer must cost under 2% on the
+    // Block rows (the hottest path it instruments). Each pair measures
+    // the Block engine with metrics enabled and with the runtime
+    // kill-switch off. Signed: a negative overhead means the enabled side
+    // won the noise toss, which shows how wide the noise is.
+    bench::Pairs P = bench::pairs(
+        NPairs, [&] { return kernelIps("isa_sim_block", Image, MinSeconds); },
+        [&] {
+          metrics::setEnabled(false);
+          double Ips = kernelIps("isa_sim_block", Image, MinSeconds);
+          metrics::setEnabled(true);
+          return Ips;
+        });
+    AddRow(Name, "isa_sim_block", P.A);
+    bench::Summary OnOff = bench::summarize(P.Ratio);
+    Rep.row("riscv", Name, "isa_sim_block", "metrics_on_off_ratio", "x", true,
+            OnOff);
+    Rep.gate("metrics_overhead_" + Name + "_pct", (1 - OnOff.Median) * 100,
+             "<", 2.0);
   }
 
   // Firmware end-to-end — the corpus the fleets actually spend their
   // cycles on — on the ISA simulator (reference stepper vs Block engine)
   // and on the pipelined core (tick() vs its instruction-stepped engine).
-  // Per core, verdict, trace, retirement count, cycles, and lightbulb
-  // history must be identical across both engines and every repetition;
-  // each fast engine is additionally run once in its lockstep
-  // Differential mode, which must report zero divergences.
+  // One checked end-to-end run per engine (also the allocator, page, and
+  // matcher warmup) fixes the trace, retirement count, cycles and light
+  // history every timed run must reproduce; each fast engine is also run
+  // once in its lockstep Differential mode, which must report zero
+  // divergences. METRICS_sim.json reports these checked runs alone: the
+  // kernel windows above record as many batches as fit in their time,
+  // so their counts are dropped here and the timed firmware runs below
+  // are paused.
+  metrics::resetAll();
   compiler::CompileResult C = compiler::compileProgram(
       app::buildFirmware(), compiler::CompilerOptions::o0(),
       compiler::Entry::eventLoop("lightbulb_init", "lightbulb_loop"),
       64 * 1024);
-  bool FirmwareDiffOk = C.ok();
   if (C.ok()) {
     verify::E2EScenario S;
     S.Frames.push_back({2000, devices::buildCommandFrame(true), false});
-    // One checked end-to-end run per mode (also the allocator, page, and
-    // matcher warmup), then the best of several repetitions of the core
-    // alone: a fresh machine runs the checked run's cycle count in one
-    // runChunk, so machine construction, monitor polls, and the
-    // engine-independent trace-spec verification are not counted as
-    // simulator throughput. Every repetition's trace, retirement count,
-    // and light history must equal the checked run's — the differential
-    // claim covers all of them, not just one pair.
-    const int FwReps = Quick ? 3 : 8;
-    auto RunMode = [&](verify::E2EOptions O, riscv::ExecMode Exec,
-                       verify::E2EResult &Out) {
-      O.SimExec = Exec;
-      Out = verify::runCompiledEndToEnd(*C.Prog, S, O);
-      double Best = 1e99;
-      for (int I = 0; I != FwReps; ++I) {
-        traffic::SoakMachine M(*C.Prog, O.Core, O.RamBytes, Exec);
-        for (const devices::ScheduledFrame &F : S.Frames)
-          M.platform().scheduleFrame(F.AtOp, F.Frame, F.Errored);
-        bool Ok = true;
-        double Start = now();
-        M.runChunk(Out.Cycles, Ok);
-        Best = std::min(Best, now() - Start);
-        if (!Ok || !(M.trace() == Out.Trace) || M.retired() != Out.Retired ||
-            M.platform().gpio().lightHistory() != Out.LightHistory)
-          return -1.0;
-      }
-      return Best;
-    };
     struct FirmwareCore {
       traffic::SoakCore Core;
-      const char *RefSubstrate, *FastSubstrate;
+      const char *RefSubstrate, *FastSubstrate, *Gate;
+      double Bound;
     };
     for (const FirmwareCore &FC :
          {FirmwareCore{traffic::SoakCore::IsaSim, "isa_sim_uncached",
-                       "isa_sim_block"},
+                       "isa_sim_block", "block_vs_reference_firmware_e2e",
+                       4.0},
           FirmwareCore{traffic::SoakCore::Pipelined, "pipelined_core",
-                       "pipelined_fast"}}) {
+                       "pipelined_fast", "pipelined_fast_vs_tick_firmware_e2e",
+                       3.5}}) {
       verify::E2EOptions O;
       O.Core = FC.Core;
       O.MaxCycles = Quick ? 4'000'000 : 20'000'000;
-      verify::E2EResult RR, RF, RD;
-      double RefSec = RunMode(O, riscv::ExecMode::Reference, RR);
-      double FastSec = RunMode(O, riscv::ExecMode::Block, RF);
-      O.SimExec = riscv::ExecMode::Differential; // One untimed lockstep pass.
-      RD = verify::runCompiledEndToEnd(*C.Prog, S, O);
-      bool Ok = RefSec > 0 && FastSec > 0 && RR.Ok && RF.Ok == RR.Ok &&
-                RF.Trace == RR.Trace && RF.LightHistory == RR.LightHistory &&
+      verify::E2EResult Checked[3];
+      const riscv::ExecMode Modes[] = {riscv::ExecMode::Reference,
+                                       riscv::ExecMode::Block,
+                                       riscv::ExecMode::Differential};
+      for (int I = 0; I != 3; ++I) {
+        O.SimExec = Modes[I];
+        Checked[I] = verify::runCompiledEndToEnd(*C.Prog, S, O);
+      }
+      const verify::E2EResult &RR = Checked[0], &RF = Checked[1],
+                              &RD = Checked[2];
+      bool Ok = RR.Ok && RF.Ok && RF.Trace == RR.Trace &&
+                RF.LightHistory == RR.LightHistory &&
                 RF.Retired == RR.Retired && RF.Cycles == RR.Cycles &&
-                RD.Ok == RR.Ok && RD.Retired == RR.Retired &&
-                RD.Cycles == RR.Cycles;
+                RD.Ok && RD.Retired == RR.Retired && RD.Cycles == RR.Cycles;
+      auto Window = [&](riscv::ExecMode Exec, const verify::E2EResult &R) {
+        return [&, Exec] {
+          return firmwareIps(*C.Prog, S, O, Exec, R, MinSeconds, Ok);
+        };
+      };
+      bench::Pairs P =
+          bench::pairs(NPairs, Window(riscv::ExecMode::Block, RF),
+                       Window(riscv::ExecMode::Reference, RR));
       if (!Ok) {
         std::fprintf(stderr, "differential FAILED on firmware e2e (%s)%s\n",
                      FC.FastSubstrate,
                      !RD.Ok ? (": " + RD.Error).c_str() : "");
-        FirmwareDiffOk = DiffOk = false;
+        DiffOk = false;
       }
-      Rows.push_back({"firmware_e2e", FC.RefSubstrate,
-                      {RR.Retired, RefSec > 0 ? RefSec : 0,
-                       RefSec > 0 ? RR.Retired / RefSec : 0}});
-      Rows.push_back({"firmware_e2e", FC.FastSubstrate,
-                      {RF.Retired, FastSec > 0 ? FastSec : 0,
-                       FastSec > 0 ? RF.Retired / FastSec : 0}});
+      AddRow("firmware_e2e", FC.RefSubstrate, P.B);
+      AddRow("firmware_e2e", FC.FastSubstrate, P.A);
+      bench::Summary Speedup = bench::summarize(P.Ratio);
+      Rep.row(FC.Core == traffic::SoakCore::IsaSim ? "riscv" : "kami",
+              "firmware_e2e", FC.FastSubstrate, "speedup_vs_reference", "x",
+              true, Speedup);
+      Rep.gate(FC.Gate, Speedup.Median, ">=", FC.Bound);
     }
   } else {
     std::fprintf(stderr, "firmware compile failed: %s\n", C.Error.c_str());
     DiffOk = false;
   }
 
-  bench::Table Tab({"kernel", "substrate", "instr/sec", "instructions"});
-  for (const Row &R : Rows)
-    Tab.row({R.Kernel, R.Substrate, bench::fixed(R.T.Ips / 1e6, 2) + " M",
-             std::to_string(R.T.Instructions)});
-  Tab.print();
-
-  auto ipsOf = [&Rows](const std::string &K, const std::string &S) {
-    for (const Row &R : Rows)
-      if (R.Kernel == K && R.Substrate == S)
-        return R.T.Ips;
-    return 0.0;
-  };
-  auto ratio = [](double Num, double Den) {
-    return Den > 0 ? Num / Den : 0.0;
-  };
-
-  // Metrics overhead gate: the observability layer must cost under 2% on
-  // the Block rows (the hottest path it instruments). The Block rows
-  // above ran with metrics compiled in and enabled; re-measure with the
-  // runtime kill-switch off and compare best-of windows on both sides.
-  // Quick mode records but does not enforce — a 0.15 s window's noise
-  // swamps a sub-2% effect.
-  struct OverheadRow {
-    std::string Kernel;
-    double OnIps = 0, OffIps = 0, Pct = 0;
-  };
-  std::vector<OverheadRow> Overhead;
-  bool OverheadOk = true;
-  for (const auto &[Name, Image] : Kernels) {
-    OverheadRow O;
-    O.Kernel = Name;
-    O.OnIps = ipsOf(Name, "isa_sim_block");
-    metrics::setEnabled(false);
-    O.OffIps = bestOf([&] { return measureBlockEngine(Image, MinSeconds); }).Ips;
-    metrics::setEnabled(true);
-    // Signed: a negative overhead means the enabled run won the noise
-    // toss, which shows how wide the noise is.
-    O.Pct = O.OffIps > 0 ? (O.OffIps - O.OnIps) / O.OffIps * 100.0 : 0.0;
-    if (O.Pct >= 2.0)
-      OverheadOk = false;
-    Overhead.push_back(O);
-  }
-  double AluBlockSpeedup = ratio(ipsOf("alu_loop", "isa_sim_block"),
-                                 ipsOf("alu_loop", "isa_sim_uncached"));
-  double MemBlockSpeedup = ratio(ipsOf("mem_loop", "isa_sim_block"),
-                                 ipsOf("mem_loop", "isa_sim_uncached"));
-  double FwBlockSpeedup = ratio(ipsOf("firmware_e2e", "isa_sim_block"),
-                                ipsOf("firmware_e2e", "isa_sim_uncached"));
-  double AluPipeSpeedup = ratio(ipsOf("alu_loop", "pipelined_fast"),
-                                ipsOf("alu_loop", "pipelined_core"));
-  double MemPipeSpeedup = ratio(ipsOf("mem_loop", "pipelined_fast"),
-                                ipsOf("mem_loop", "pipelined_core"));
-  double FwPipeSpeedup = ratio(ipsOf("firmware_e2e", "pipelined_fast"),
-                               ipsOf("firmware_e2e", "pipelined_core"));
-  // Speedup gates: the Block engine must run firmware at >= 4.0x the
-  // reference stepper, and the pipelined core's fast engine at >= 3.5x
-  // tick() (20% under the lowest of three full runs, 4.44x; see
-  // EXPERIMENTS.md). Quick mode records but does not enforce, like the
-  // overhead gate below.
-  const double SpeedupGate = 4.0;
-  const bool SpeedupOk = FwBlockSpeedup >= SpeedupGate;
-  const double PipeSpeedupGate = 3.5;
-  const bool PipeSpeedupOk = FwPipeSpeedup >= PipeSpeedupGate;
-  std::printf("\nblock-engine speedup over the reference stepper: alu_loop "
-              "%s, mem_loop %s, firmware e2e %s — %s\n",
-              bench::withTimes(AluBlockSpeedup, 2).c_str(),
-              bench::withTimes(MemBlockSpeedup, 2).c_str(),
-              bench::withTimes(FwBlockSpeedup, 2).c_str(),
-              SpeedupOk ? "within the 4.0x gate"
-              : Quick   ? "under the gate (not enforced in --quick)"
-                        : "UNDER THE 4.0x GATE");
-  std::printf("pipelined fast-engine speedup over tick(): alu_loop %s, "
-              "mem_loop %s, firmware e2e %s — %s\n",
-              bench::withTimes(AluPipeSpeedup, 2).c_str(),
-              bench::withTimes(MemPipeSpeedup, 2).c_str(),
-              bench::withTimes(FwPipeSpeedup, 2).c_str(),
-              PipeSpeedupOk ? "within the 3.5x gate"
-              : Quick       ? "under the gate (not enforced in --quick)"
-                            : "UNDER THE 3.5x GATE");
+  Rep.finish("BENCH_sim.json");
   std::printf("differential (fast/reference lockstep): %s\n",
               DiffOk ? "identical" : "DIVERGED");
-  for (const OverheadRow &O : Overhead)
-    std::printf("metrics overhead on %s block row: %.2f%% "
-                "(on %.2f M, off %.2f M) — %s\n",
-                O.Kernel.c_str(), O.Pct, O.OnIps / 1e6, O.OffIps / 1e6,
-                O.Pct < 2.0  ? "within the 2% gate"
-                : Quick      ? "over the gate (not enforced in --quick)"
-                             : "OVER THE 2% GATE");
-
-  support::JsonWriter J;
-  J.beginObject();
-  J.key("bench").value("sim_throughput");
-  J.key("quick").value(Quick);
-  J.key("reps").value(uint64_t(Reps));
-  J.key("kernels").beginArray();
-  for (const Row &R : Rows) {
-    J.beginObject();
-    J.key("kernel").value(R.Kernel);
-    J.key("substrate").value(R.Substrate);
-    J.key("instructions").value(R.T.Instructions);
-    J.key("seconds").value(R.T.Seconds);
-    J.key("instr_per_sec").value(R.T.Ips);
-    J.endObject();
-  }
-  J.endArray();
-  J.key("speedups").beginObject();
-  J.key("alu_loop_block_vs_uncached").value(AluBlockSpeedup);
-  J.key("mem_loop_block_vs_uncached").value(MemBlockSpeedup);
-  J.key("firmware_e2e_block_vs_uncached").value(FwBlockSpeedup);
-  J.key("alu_loop_pipelined_fast_vs_core").value(AluPipeSpeedup);
-  J.key("mem_loop_pipelined_fast_vs_core").value(MemPipeSpeedup);
-  J.key("firmware_e2e_pipelined_fast_vs_core").value(FwPipeSpeedup);
-  J.endObject();
-  J.key("speedup_gate").beginObject();
-  J.key("kernel").value("firmware_e2e");
-  J.key("min_block_vs_uncached").value(SpeedupGate);
-  J.key("enforced").value(!Quick);
-  J.key("ok").value(SpeedupOk);
-  J.endObject();
-  J.key("pipelined_speedup_gate").beginObject();
-  J.key("kernel").value("firmware_e2e");
-  J.key("min_fast_vs_core").value(PipeSpeedupGate);
-  J.key("enforced").value(!Quick);
-  J.key("ok").value(PipeSpeedupOk);
-  J.endObject();
-  J.key("differential").beginObject();
-  J.key("kernels_ok").value(DiffOk);
-  J.key("firmware_e2e_ok").value(FirmwareDiffOk);
-  J.endObject();
-  J.key("metrics_overhead").beginObject();
-  J.key("compiled_in").value(B2_METRICS != 0);
-  J.key("gate_pct").value(2.0);
-  J.key("enforced").value(!Quick);
-  J.key("ok").value(OverheadOk);
-  J.key("rows").beginArray();
-  for (const OverheadRow &O : Overhead) {
-    J.beginObject();
-    J.key("kernel").value(O.Kernel);
-    J.key("substrate").value("isa_sim_block");
-    J.key("enabled_instr_per_sec").value(O.OnIps);
-    J.key("disabled_instr_per_sec").value(O.OffIps);
-    J.key("overhead_pct").value(O.Pct);
-    J.endObject();
-  }
-  J.endArray();
-  J.endObject();
-  J.endObject();
-  const char *OutPath = "BENCH_sim.json";
-  if (!support::writeFile(OutPath, J.str()))
-    std::fprintf(stderr, "failed to write %s\n", OutPath);
-  else
-    std::printf("wrote %s\n", OutPath);
-
   const char *MetricsPath = "METRICS_sim.json";
   if (!metrics::writeMetricsFile(MetricsPath, "sim_throughput"))
     std::fprintf(stderr, "failed to write %s\n", MetricsPath);
   else
     std::printf("wrote %s\n", MetricsPath);
-
-  if (!OverheadOk && !Quick) {
-    std::fprintf(stderr, "metrics overhead gate FAILED (>= 2%% on a Block "
-                         "row)\n");
-    return 1;
-  }
-  if (!SpeedupOk && !Quick) {
-    std::fprintf(stderr, "block-engine speedup gate FAILED (< 4.0x the "
-                         "reference stepper on firmware_e2e)\n");
-    return 1;
-  }
-  if (!PipeSpeedupOk && !Quick) {
-    std::fprintf(stderr, "pipelined fast-engine speedup gate FAILED (< 3.5x "
-                         "tick() on firmware_e2e)\n");
-    return 1;
-  }
-  return DiffOk ? 0 : 1;
+  return DiffOk && Rep.gatesOk() ? 0 : 1;
 }

@@ -90,8 +90,7 @@ bool exerciseExtCallCompilerParameter() {
   riscv::Machine M(64 * 1024);
   M.loadImage(0, C.Prog->image());
   riscv::NoDevice D;
-  while (M.getPc() != C.Prog->HaltPc && riscv::step(M, D))
-    ;
+  riscv::runToPc(M, D, C.Prog->HaltPc);
   return !M.hasUb() && M.getReg(10) == 42;
 }
 

@@ -26,13 +26,15 @@
 // every mode must agree with cold — a throughput number bought by a
 // wrong verdict is a correctness bug, so disagreement fails the bench.
 //
-// Gate (non-quick runs): the staged pipeline at 1 thread must discharge
-// the firmware-contract corpus at >= 3x the cold rate. The measured
-// speedup and the gate outcome are recorded in BENCH_vc.json.
+// Each rate row is the median (and IQR) of repeated MinSeconds windows
+// (bench/BenchUtil.h); each row also has a deterministic SAT-conflict
+// count. Gate (non-quick runs): the staged pipeline at 1 thread must
+// discharge the firmware-contract corpus at >= 3x the cold rate, as the
+// median ratio of interleaved staged/cold pairs.
 //
-// Emits BENCH_vc.json (rows keyed by func+program+mode, trended by
-// tools/bench_compare.py) and METRICS_vc.json (schema
-// b2stack-metrics-v1, the vc.* counter subtree).
+// Emits BENCH_vc.json (schema b2stack-bench-v1; workload program/func,
+// variant mode) and METRICS_vc.json (schema b2stack-metrics-v1, the vc.*
+// counter subtree, which also carries the tier kills and cache hits).
 //
 // Usage: vc_throughput [--quick]
 //
@@ -40,14 +42,11 @@
 
 #include "BenchUtil.h"
 #include "app/Firmware.h"
-#include "support/Json.h"
 #include "support/Metrics.h"
 #include "vc/Corpus.h"
 #include "vc/Vc.h"
 
-#include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
@@ -56,30 +55,10 @@ using namespace b2;
 
 namespace {
 
-double now() {
-  using namespace std::chrono;
-  return duration<double>(steady_clock::now().time_since_epoch()).count();
-}
-
 struct Mode {
   const char *Name;
   vc::DischargeOptions D;
   bool Probes = false; ///< Run the default concrete probes (metrics paused).
-};
-
-struct Row {
-  std::string Program;
-  std::string Func;
-  std::string Mode;
-  vc::FuncReport Report;
-  unsigned Iters = 0;
-  double Seconds = 0;
-
-  double rate() const {
-    return Seconds > 0
-               ? double(Report.Obligations.size()) * Iters / Seconds
-               : 0;
-  }
 };
 
 vc::DischargeOptions modeOpts(bool Tiers, bool Slice, bool Incr,
@@ -96,10 +75,10 @@ vc::DischargeOptions modeOpts(bool Tiers, bool Slice, bool Incr,
 } // namespace
 
 int main(int argc, char **argv) {
-  bool Quick = false;
-  for (int I = 1; I < argc; ++I)
-    if (std::strcmp(argv[I], "--quick") == 0)
-      Quick = true;
+  const bool Quick = bench::quickFlag(argc, argv);
+  const double MinSeconds = Quick ? 0.0 : 0.1;
+  const unsigned Reps = Quick ? 1 : 3;
+  bench::Report Rep("vc_throughput", Quick);
 
   std::printf("== vc_throughput: WP + staged discharge pipeline ==\n\n");
 
@@ -127,158 +106,93 @@ int main(int argc, char **argv) {
       {"threads4", modeOpts(true, true, true, 4)},
       {"staged_probes", modeOpts(true, true, true, 1), /*Probes=*/true},
   };
+  auto OptionsOf = [](const Mode &M) {
+    vc::VcOptions Opts;
+    Opts.Discharge = M.D;
+    if (!M.Probes)
+      Opts.Probes = 0; // Probe cost is mode-independent; see header.
+    return Opts;
+  };
 
-  // Full runs time every row over at least MinCalls calls, so a row whose
-  // single call outlasts MinSeconds still carries repetitions.
-  const double MinSeconds = Quick ? 0.0 : 0.2;
-  const unsigned MinCalls = Quick ? 1 : 3;
   bool AllOk = true;
-  std::vector<Row> Rows;
-  // ColdRep points into Rows; never let a push_back reallocate under it.
-  Rows.reserve(Legs.size() * (sizeof(Modes) / sizeof(Modes[0])));
   for (const Leg &L : Legs) {
-    const vc::FuncReport *ColdRep = nullptr;
+    std::optional<vc::FuncReport> Cold;
     for (const Mode &M : Modes) {
-      vc::VcOptions Opts;
-      Opts.Discharge = M.D;
-      if (!M.Probes)
-        Opts.Probes = 0; // Probe cost is mode-independent; see header.
+      const vc::VcOptions Opts = OptionsOf(M);
       std::optional<metrics::PauseScope> Pause;
       if (M.Probes)
         Pause.emplace();
-      Row R;
-      R.Program = L.Program;
-      R.Func = L.Func;
-      R.Mode = M.Name;
-      double T0 = now();
-      R.Report = vc::verifyFunction(*L.Prog, L.Func, L.Program, Opts);
-      R.Iters = 1;
-      R.Seconds = now() - T0;
-      while (R.Seconds < MinSeconds || R.Iters < MinCalls) {
-        double T1 = now();
-        vc::FuncReport Re =
-            vc::verifyFunction(*L.Prog, L.Func, L.Program, Opts);
-        R.Seconds += now() - T1;
-        ++R.Iters;
-        if (Re.V != R.Report.V) {
-          std::fprintf(stderr, "FAIL: %s/%s verdict unstable across reruns\n",
-                       L.Func.c_str(), M.Name);
-          AllOk = false;
-          break;
-        }
-      }
-      if (R.Report.V != vc::Verdict::Valid || R.Report.Unconfirmed != 0 ||
-          R.Report.ProbeViolations != 0 || !R.Report.Error.empty()) {
+      // The first call's report is the row's verdict; every later call
+      // must reproduce it.
+      std::optional<vc::FuncReport> First;
+      std::vector<double> Rates = bench::repeat(Reps, [&] {
+        return bench::timeWindow(MinSeconds, [&]() -> uint64_t {
+                 vc::FuncReport R =
+                     vc::verifyFunction(*L.Prog, L.Func, L.Program, Opts);
+                 uint64_t N = R.Obligations.size();
+                 if (!First) {
+                   First = std::move(R);
+                 } else if (R.V != First->V) {
+                   std::fprintf(stderr,
+                                "FAIL: %s/%s verdict unstable across reruns\n",
+                                L.Func.c_str(), M.Name);
+                   AllOk = false;
+                 }
+                 return N;
+               })
+            .rate();
+      });
+      const vc::FuncReport &R = *First;
+      if (R.V != vc::Verdict::Valid || R.Unconfirmed != 0 ||
+          R.ProbeViolations != 0 || !R.Error.empty()) {
         std::fprintf(stderr, "FAIL: %s/%s/%s expected Valid, got %s %s%s\n",
                      L.Program.c_str(), L.Func.c_str(), M.Name,
-                     vc::verdictName(R.Report.V), R.Report.Error.c_str(),
-                     R.Report.CexDetail.c_str());
+                     vc::verdictName(R.V), R.Error.c_str(),
+                     R.CexDetail.c_str());
         AllOk = false;
       }
       // Every mode must reproduce the cold path's verdict and
       // counterexample args bit for bit (here: all Valid, no cex).
-      if (ColdRep &&
-          (R.Report.V != ColdRep->V || R.Report.CexArgs != ColdRep->CexArgs ||
-           R.Report.Obligations.size() != ColdRep->Obligations.size())) {
+      if (Cold && (R.V != Cold->V || R.CexArgs != Cold->CexArgs ||
+                   R.Obligations.size() != Cold->Obligations.size())) {
         std::fprintf(stderr,
                      "FAIL: %s/%s mode '%s' disagrees with the cold path\n",
                      L.Program.c_str(), L.Func.c_str(), M.Name);
         AllOk = false;
       }
-      Rows.push_back(std::move(R));
-      if (Rows.back().Mode == "cold")
-        ColdRep = &Rows.back().Report;
+      if (!Cold)
+        Cold = R;
+      const std::string Workload = L.Program + "/" + L.Func;
+      Rep.row("vc", Workload, M.Name, "vcs_per_sec", "1/s", true,
+              bench::summarize(Rates));
+      Rep.row("vc", Workload, M.Name, "sat_conflicts", "count", false,
+              bench::summarize({double(R.Solver.Conflicts)}),
+              /*Deterministic=*/true);
     }
   }
 
-  // The acceptance gate: staged (1 thread) vs cold, aggregated over the
-  // firmware-contract corpus. Quick runs measure single iterations and
-  // are too noisy to gate on; they still record the observed ratio.
-  double ColdObs = 0, ColdSec = 0, StagedObs = 0, StagedSec = 0;
-  for (const Row &R : Rows) {
-    if (R.Program != "firmware")
-      continue;
-    if (R.Mode == "cold") {
-      ColdObs += double(R.Report.Obligations.size()) * R.Iters;
-      ColdSec += R.Seconds;
-    } else if (R.Mode == "staged") {
-      StagedObs += double(R.Report.Obligations.size()) * R.Iters;
-      StagedSec += R.Seconds;
-    }
-  }
-  double ColdRate = ColdSec > 0 ? ColdObs / ColdSec : 0;
-  double StagedRate = StagedSec > 0 ? StagedObs / StagedSec : 0;
-  double Speedup = ColdRate > 0 ? StagedRate / ColdRate : 0;
-  const double GateMin = 3.0;
-  bool GatePass = Speedup >= GateMin;
-  if (!Quick && !GatePass) {
-    std::fprintf(stderr,
-                 "FAIL: staged firmware discharge is %.2fx cold "
-                 "(gate: >= %.1fx)\n",
-                 Speedup, GateMin);
-    AllOk = false;
-  }
-
-  bench::Table Tab({"program", "func", "mode", "verdict", "obs", "tiered",
-                    "cached", "conflicts", "iters", "obs/sec"});
-  for (const Row &R : Rows) {
-    uint64_t Tiered =
-        R.Report.Pipeline.TierKills[size_t(vc::DischargeTier::Interval)] +
-        R.Report.Pipeline.TierKills[size_t(vc::DischargeTier::Rewrite)];
-    Tab.row({R.Program, R.Func, R.Mode, vc::verdictName(R.Report.V),
-             std::to_string(R.Report.Obligations.size()),
-             std::to_string(Tiered),
-             std::to_string(R.Report.Pipeline.CacheHits),
-             std::to_string(R.Report.Solver.Conflicts),
-             std::to_string(R.Iters), bench::fixed(R.rate(), 1)});
-  }
-  Tab.print();
-  std::printf("\nfirmware staged vs cold: %.2fx (gate >= %.1fx, %s)\n",
-              Speedup, GateMin,
-              Quick ? "not enforced under --quick"
-                    : (GatePass ? "pass" : "FAIL"));
-
-  support::JsonWriter J;
-  J.beginObject();
-  J.key("bench").value("vc_throughput");
-  J.key("quick").value(Quick);
-  J.key("funcs").beginArray();
-  for (const Row &R : Rows) {
-    J.beginObject();
-    J.key("func").value(R.Func);
-    J.key("program").value(R.Program);
-    J.key("mode").value(R.Mode);
-    J.key("verdict").value(vc::verdictName(R.Report.V));
-    J.key("obligations").value(uint64_t(R.Report.Obligations.size()));
-    J.key("proved").value(uint64_t(R.Report.Proved));
-    J.key("conflicts").value(R.Report.Solver.Conflicts);
-    J.key("dag_nodes").value(R.Report.DagNodes);
-    J.key("tiers").beginObject();
-    for (size_t T = 0; T < size_t(vc::DischargeTier::NumTiers); ++T)
-      J.key(vc::tierName(vc::DischargeTier(T)))
-          .value(R.Report.Pipeline.TierKills[T]);
-    J.endObject();
-    J.key("cache_hits").value(R.Report.Pipeline.CacheHits);
-    J.key("cache_misses").value(R.Report.Pipeline.CacheMisses);
-    J.key("slice_dropped_assumes")
-        .value(R.Report.Pipeline.SliceDroppedAssumes);
-    J.key("iters").value(uint64_t(R.Iters));
-    J.key("seconds").value(R.Seconds);
-    J.key("vcs_per_sec").value(R.rate());
-    J.endObject();
-  }
-  J.endArray();
-  J.key("firmware_staged_speedup").value(Speedup);
-  J.key("speedup_gate_min").value(GateMin);
-  J.key("speedup_gate_enforced").value(!Quick);
-  J.key("speedup_gate_pass").value(GatePass);
-  J.key("all_ok").value(AllOk);
-  J.endObject();
-  const char *OutPath = "BENCH_vc.json";
-  if (!support::writeFile(OutPath, J.str()))
-    std::fprintf(stderr, "failed to write %s\n", OutPath);
-  else
-    std::printf("wrote %s\n", OutPath);
+  // The acceptance gate: staged (1 thread) vs cold over the
+  // firmware-contract corpus, each side one window over the three
+  // contracted functions, in interleaved pairs.
+  auto FirmwareRate = [&](const Mode &M) {
+    return [&, Opts = OptionsOf(M)] {
+      return bench::timeWindow(MinSeconds, [&]() -> uint64_t {
+               uint64_t N = 0;
+               for (const Leg &L : Legs)
+                 if (L.Program == "firmware")
+                   N += vc::verifyFunction(*L.Prog, L.Func, L.Program, Opts)
+                            .Obligations.size();
+               return N;
+             })
+          .rate();
+    };
+  };
+  bench::Pairs P =
+      bench::pairs(Quick ? 1 : 5, FirmwareRate(Modes[3]),
+                   FirmwareRate(Modes[0])); // staged vs cold
+  Rep.gate("staged_vs_cold_firmware", bench::summarize(P.Ratio).Median, ">=",
+           3.0);
+  Rep.finish("BENCH_vc.json");
 
   // One clean instrumented pass per target for the metrics report (the
   // tools/vc default pipeline), so rates derived from it (conflicts per
@@ -292,5 +206,5 @@ int main(int argc, char **argv) {
   if (metrics::writeMetricsFile("METRICS_vc.json", "vc"))
     std::printf("wrote METRICS_vc.json\n");
 
-  return AllOk ? 0 : 1;
+  return AllOk && Rep.gatesOk() ? 0 : 1;
 }

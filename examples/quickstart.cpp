@@ -87,8 +87,7 @@ int main() {
   riscv::Machine M(64 * 1024);
   M.loadImage(0, Prog.image());
   riscv::NoDevice Dev2;
-  while (M.getPc() != Prog.HaltPc && riscv::step(M, Dev2))
-    ;
+  riscv::runToPc(M, Dev2, Prog.HaltPc);
   std::printf("\nISA simulator:  a0 = %u after %llu instructions\n",
               M.getReg(10),
               (unsigned long long)M.retiredInstructions());

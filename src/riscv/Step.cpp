@@ -141,3 +141,11 @@ uint64_t b2::riscv::run(Machine &M, MmioDevice &Device, uint64_t MaxSteps) {
     ++N;
   return N;
 }
+
+uint64_t b2::riscv::runToPc(Machine &M, MmioDevice &Device, Word StopPc,
+                            uint64_t MaxSteps) {
+  uint64_t N = 0;
+  while (N < MaxSteps && M.getPc() != StopPc && step(M, Device))
+    ++N;
+  return N;
+}

@@ -38,6 +38,11 @@ bool step(Machine &M, MmioDevice &Device);
 /// number of retired (well-defined) instructions.
 uint64_t run(Machine &M, MmioDevice &Device, uint64_t MaxSteps);
 
+/// Like run(), but also stops before executing the instruction at
+/// \p StopPc (a compiled single call's HaltPc parking loop).
+uint64_t runToPc(Machine &M, MmioDevice &Device, Word StopPc,
+                 uint64_t MaxSteps = UINT64_MAX);
+
 } // namespace riscv
 } // namespace b2
 

@@ -159,7 +159,7 @@ SoakReport runSoak(const compiler::CompiledProgram &Prog,
 /// harness's standard configuration). Null result carries \p Error.
 compiler::CompileResult compileSoakFirmware(Word RamBytes = 64 * 1024);
 
-/// Renders the report as SOAK.json (schema b2stack-soak-v1). Contains
+/// Renders the report as SOAK.json (schema b2stack-soak-v2). Contains
 /// only deterministic fields — no wall-clock — so the file is
 /// bit-identical at any thread count.
 std::string soakJson(const SoakReport &Report);

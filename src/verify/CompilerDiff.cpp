@@ -103,10 +103,7 @@ DiffResult b2::verify::diffCompile(const Program &P, const std::string &Fn,
   std::unique_ptr<riscv::MmioDevice> Dev = MakeDevice();
   riscv::Machine M(Options.RamBytes);
   M.loadImage(0, Prog.image());
-  uint64_t Steps = 0;
-  while (Steps < Options.MachineMaxSteps && M.getPc() != Prog.HaltPc &&
-         riscv::step(M, *Dev))
-    ++Steps;
+  riscv::runToPc(M, *Dev, Prog.HaltPc, Options.MachineMaxSteps);
 
   if (M.hasUb()) {
     R.Error = std::string("machine-level UB (") + riscv::ubKindName(

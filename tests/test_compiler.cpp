@@ -51,10 +51,7 @@ Word compileAndRun(const Program &P, const std::string &Fn,
   riscv::Machine M(64 * 1024);
   M.loadImage(0, C.Prog->image());
   riscv::NoDevice D;
-  uint64_t Steps = 0;
-  while (M.getPc() != C.Prog->HaltPc && riscv::step(M, D) &&
-         ++Steps < 10'000'000)
-    ;
+  riscv::runToPc(M, D, C.Prog->HaltPc, 10'000'000);
   EXPECT_FALSE(M.hasUb()) << riscv::ubKindName(M.ubKind()) << " "
                           << M.ubDetail();
   EXPECT_EQ(M.getPc(), C.Prog->HaltPc);
@@ -399,8 +396,7 @@ TEST(Passes, DceKeepsSideEffects) {
   devices::Platform Plat;
   riscv::Machine M(65536);
   M.loadImage(0, C.Prog->image());
-  while (M.getPc() != C.Prog->HaltPc && riscv::step(M, Plat))
-    ;
+  riscv::runToPc(M, Plat, C.Prog->HaltPc);
   ASSERT_EQ(M.trace().size(), 1u); // The MMIO write survived DCE.
   EXPECT_EQ(M.getReg(10), 5u);
 }

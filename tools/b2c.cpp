@@ -198,10 +198,7 @@ int runBinary(const compiler::CompiledProgram &Prog, const Options &O) {
   if (O.Core == "sim") {
     riscv::Machine M(O.RamBytes);
     M.loadImage(0, Prog.image());
-    uint64_t Steps = 0;
-    while (Steps < O.MaxSteps && M.getPc() != Prog.HaltPc &&
-           riscv::step(M, Plat))
-      ++Steps;
+    riscv::runToPc(M, Plat, Prog.HaltPc, O.MaxSteps);
     if (M.hasUb()) {
       std::fprintf(stderr, "b2c: machine UB: %s (%s)\n",
                    riscv::ubKindName(M.ubKind()), M.ubDetail().c_str());

@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
 """Benchmark regression guard for the b2stack CI.
 
-Compares the throughput JSON emitted by bench/sim_throughput
-(BENCH_sim.json) and bench/interp_throughput (BENCH_interp.json)
-against a baseline from a previous main-branch run, and fails when any
-per-row throughput regresses by more than the allowed fraction
-(default 25%).
+Compares every BENCH_*.json in the current directory that carries the
+b2stack-bench-v1 schema (bench/BenchUtil.h) against the same file from
+a previous main-branch run, and fails when any row regresses by more
+than the allowed fraction (default 25%).
 
-Rows are keyed by their identity fields (kernel+substrate for the
-simulator bench, workload+engine for the interpreter bench), so adding
-or removing rows never trips the guard — only a matched row that got
-slower does. A baseline that lacks a file — first run, expired cache,
-or a bench JSON newly added (or renamed) by the current PR — is
-reported and skipped rather than failed, so the guard can bootstrap
-itself; a file that exists but cannot be parsed under the registered
-schema is likewise warned about and skipped instead of crashing the
-job.
+A row is keyed by (bench, workload, variant, metric) and compared on its
+median in the direction its `better` field names: a "higher" row
+regresses when it drops below (1 - bound) x baseline, a "lower" row when
+it rises above (1 + bound) x baseline. Adding or removing rows never
+trips the guard, only a matched row that got worse does; a duplicate
+key in one document is an error. A baseline that lacks a file (first
+run, expired cache, or a bench newly added by the current PR), predates
+the v1 schema or cannot be parsed is reported and skipped rather than
+failed, so the guard can bootstrap itself. When GITHUB_STEP_SUMMARY is
+set, one table of every current v1 row is appended to it.
 
-Alongside raw throughput, the guard trends *derived metrics* computed
+Alongside the rows, the guard trends *derived metrics* computed
 from the METRICS_*.json reports the bench binaries emit (schema
 b2stack-metrics-v1): trace-cache hit rate, side-exit rate, link hit
 rate, interpreter steps per run, soak delivery health. Ratios are robust to
@@ -36,35 +36,12 @@ Usage:
 """
 
 import argparse
+import glob
 import json
 import os
 import sys
 
-# file name -> (array key, identity fields, throughput field)
-# BENCH_sim.json superseded BENCH_sim_throughput.json when the simulator
-# bench grew the superblock-engine rows; old baselines simply skip.
-# Its substrates, each paired with its kernels (alu_loop, mem_loop,
-# firmware_e2e): isa_sim_uncached and isa_sim_block (the ISA simulator's
-# reference stepper and block engine), spec_core, pipelined_core (the
-# pipelined core's reference tick()) and pipelined_fast (its
-# instruction-stepped engine). A row the baseline predates is reported
-# as new and skipped.
-BENCH_FILES = {
-    "BENCH_sim.json": ("kernels", ("kernel", "substrate"),
-                       "instr_per_sec"),
-    "BENCH_interp.json": ("workloads", ("workload", "engine"),
-                          "stmts_per_sec"),
-    "BENCH_soak.json": ("scenarios", ("scenario", "core"),
-                        "frames_per_sec"),
-    "BENCH_shrink.json": ("shrinks", ("scenario", "oracle"),
-                          "speedup_vs_cold"),
-    # "mode" joined the identity when the staged discharge pipeline
-    # added per-mode rows (cold/tiers/slice/staged/threads4); baselines
-    # from before then have no "mode" field and their rows skip.
-    "BENCH_vc.json": ("funcs", ("func", "program", "mode"),
-                      "vcs_per_sec"),
-}
-
+BENCH_SCHEMA = "b2stack-bench-v1"
 METRICS_SCHEMA = "b2stack-metrics-v1"
 
 
@@ -219,18 +196,120 @@ def compare_metrics(baseline_dir, current_dir, warn_at, fail_at):
     return compared, warnings, failures
 
 
-def load_rows(path, array_key, id_fields, value_field):
-    """Returns {identity tuple: throughput} for one bench JSON file."""
+class SchemaMismatch(ValueError):
+    """The document is valid JSON but not a b2stack-bench-v1 document."""
+
+
+class DuplicateKey(ValueError):
+    """Two rows of one document share a key."""
+
+
+def load_bench(path):
+    """Returns {(bench, workload, variant, metric): row} for one
+    b2stack-bench-v1 document."""
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict) or doc.get("schema") != BENCH_SCHEMA:
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        raise SchemaMismatch(f"schema {schema!r} != {BENCH_SCHEMA!r}")
     rows = {}
-    for row in doc.get(array_key, []):
-        ident = tuple(row.get(k) for k in id_fields)
-        value = row.get(value_field)
-        if None in ident or not isinstance(value, (int, float)) or value <= 0:
-            continue
-        rows[ident] = float(value)
+    for row in doc.get("rows", []):
+        key = (doc.get("bench"), row.get("workload"), row.get("variant"),
+               row.get("metric"))
+        if key in rows:
+            raise DuplicateKey("duplicate row key " + "/".join(map(str, key)))
+        rows[key] = row
     return rows
+
+
+def regressed(row, old, new, bound):
+    """True iff `new` is worse than `old` by more than `bound` in the
+    row's `better` direction."""
+    if row.get("better") == "lower":
+        return new > old * (1.0 + bound)
+    return new < old * (1.0 - bound)
+
+
+def compare_bench(baseline_dir, current_dir, bound):
+    """Compares every current v1 document with its baseline. Returns
+    (compared, failures, current rows by file)."""
+    compared, failures, current = 0, [], {}
+    for cur_path in sorted(glob.glob(os.path.join(current_dir,
+                                                  "BENCH_*.json"))):
+        name = os.path.basename(cur_path)
+        try:
+            cur = load_bench(cur_path)
+        except DuplicateKey as err:
+            print(f"bench_compare: {name}: {err}")
+            failures.append(name)
+            continue
+        except (OSError, ValueError) as err:
+            print(f"bench_compare: {name}: not a {BENCH_SCHEMA} document "
+                  f"({err}), skipping")
+            continue
+        current[name] = cur
+        base_path = os.path.join(baseline_dir, name)
+        if not os.path.exists(base_path):
+            print(f"bench_compare: {name}: no baseline (first run, expired "
+                  f"cache, or file newly added this PR), skipping")
+            continue
+        try:
+            base = load_bench(base_path)
+        except DuplicateKey as err:
+            print(f"bench_compare: {name}: baseline {err}")
+            failures.append(name)
+            continue
+        except SchemaMismatch as err:
+            print(f"bench_compare: WARNING: {name}: baseline predates "
+                  f"{BENCH_SCHEMA} ({err}), skipping", file=sys.stderr)
+            continue
+        except (OSError, ValueError) as err:
+            print(f"bench_compare: {name}: unreadable baseline ({err}), "
+                  f"skipping")
+            continue
+        for key, row in sorted(cur.items()):
+            label = f"{name}:" + "/".join(str(p) for p in key[1:])
+            if key not in base:
+                print(f"bench_compare: {label}: new row, no baseline yet, "
+                      f"skipping")
+                continue
+            old, new = base[key].get("median"), row.get("median")
+            if not isinstance(old, (int, float)) or \
+               not isinstance(new, (int, float)):
+                print(f"bench_compare: {label}: no median, skipping")
+                continue
+            if old <= 0:
+                # A relative bound needs a positive baseline (a count such
+                # as sat_conflicts can be 0).
+                print(f"bench_compare: {label}: baseline median {old:.4g}, "
+                      f"no relative bound, skipping")
+                continue
+            compared += 1
+            verdict = "OK"
+            if regressed(row, old, new, bound):
+                verdict = "REGRESSION"
+                failures.append(label)
+            print(f"bench_compare: {label}: {old:.4g} -> {new:.4g} "
+                  f"({row.get('better', 'higher')} is better) {verdict}")
+        for key in sorted(set(base) - set(cur)):
+            label = f"{name}:" + "/".join(str(p) for p in key[1:])
+            print(f"bench_compare: {label}: row gone from current run "
+                  f"(renamed?), skipping")
+    return compared, failures, current
+
+
+def write_step_summary(path, current):
+    """Appends one markdown table of every current v1 row to `path`."""
+    lines = ["| bench | workload | variant | metric | median | IQR |",
+             "|---|---|---|---|---:|---:|"]
+    for rows in current.values():
+        for (bench, workload, variant, metric), row in sorted(rows.items()):
+            lines.append(f"| {bench} | {workload} | {variant} | {metric} "
+                         f"({row.get('unit', '')}) | "
+                         f"{row.get('median', 0):.4g} | "
+                         f"{row.get('iqr', 0):.4g} |")
+    with open(path, "a") as f:
+        f.write("\n".join(lines) + "\n")
 
 
 def main(argv=None):
@@ -240,54 +319,18 @@ def main(argv=None):
     ap.add_argument("--current", required=True,
                     help="directory holding this run's JSON")
     ap.add_argument("--max-regression", type=float, default=0.25,
-                    help="allowed fractional slowdown per row (default 0.25)")
+                    help="allowed fractional regression per row (default 0.25)")
     ap.add_argument("--metrics-warn", type=float, default=0.10,
                     help="derived-metric drift that warns (default 0.10)")
     ap.add_argument("--metrics-fail", type=float, default=0.25,
                     help="derived-metric drift that fails (default 0.25)")
     args = ap.parse_args(argv)
 
-    failures = []
-    compared = 0
-    for name, (array_key, id_fields, value_field) in BENCH_FILES.items():
-        base_path = os.path.join(args.baseline, name)
-        cur_path = os.path.join(args.current, name)
-        if not os.path.exists(cur_path):
-            print(f"bench_compare: {name}: no current file, skipping")
-            continue
-        if not os.path.exists(base_path):
-            print(f"bench_compare: {name}: no baseline (first run, expired "
-                  f"cache, or file newly added this PR), skipping")
-            continue
-        try:
-            base = load_rows(base_path, array_key, id_fields, value_field)
-            cur = load_rows(cur_path, array_key, id_fields, value_field)
-        except (OSError, ValueError) as err:
-            print(f"bench_compare: {name}: unreadable under registered "
-                  f"schema ({err}), skipping")
-            continue
-        if not base and cur:
-            print(f"bench_compare: {name}: baseline rows lack the current "
-                  f"identity fields (schema predates this PR), skipping")
-            continue
-        for ident, base_value in sorted(base.items()):
-            label = f"{name}:" + "/".join(str(p) for p in ident)
-            if ident not in cur:
-                print(f"bench_compare: {label}: row gone from current run "
-                      f"(renamed?), skipping")
-                continue
-            compared += 1
-            ratio = cur[ident] / base_value
-            verdict = "OK"
-            if ratio < 1.0 - args.max_regression:
-                verdict = "REGRESSION"
-                failures.append(label)
-            print(f"bench_compare: {label}: {base_value:.3e} -> "
-                  f"{cur[ident]:.3e} ({ratio:.1%} of baseline) {verdict}")
-        for ident in sorted(set(cur) - set(base)):
-            label = f"{name}:" + "/".join(str(p) for p in ident)
-            print(f"bench_compare: {label}: new row, no baseline yet, "
-                  f"skipping")
+    compared, failures, current = compare_bench(
+        args.baseline, args.current, args.max_regression)
+    summary = os.environ.get("GITHUB_STEP_SUMMARY")
+    if summary:
+        write_step_summary(summary, current)
 
     m_compared, m_warnings, m_failures = compare_metrics(
         args.baseline, args.current, args.metrics_warn, args.metrics_fail)

@@ -14,19 +14,31 @@ import sys
 import tempfile
 import unittest
 from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_compare  # noqa: E402
 import metrics_report  # noqa: E402
 
 
+def bench_row(median, workload="alu_loop", variant="isa_sim_block",
+              metric="instr_per_sec", better="higher"):
+    """One b2stack-bench-v1 row."""
+    return {"layer": "riscv", "workload": workload, "variant": variant,
+            "metric": metric, "unit": "1/s", "better": better,
+            "median": median, "iqr": 0.0, "reps": 5,
+            "deterministic": False}
+
+
+def bench_doc(*rows, bench="sim_throughput"):
+    """A b2stack-bench-v1 document holding `rows`."""
+    return {"schema": "b2stack-bench-v1", "bench": bench, "quick": False,
+            "rows": list(rows), "gates": []}
+
+
 def sim_bench(ips):
-    """A minimal BENCH_sim.json with one block-engine row."""
-    return {
-        "bench": "sim_throughput",
-        "kernels": [{"kernel": "alu_loop", "substrate": "isa_sim_block",
-                     "instr_per_sec": ips}],
-    }
+    """A BENCH_sim.json with one higher-is-better block-engine row."""
+    return bench_doc(bench_row(ips))
 
 
 def sim_metrics(trace=1000, cold=50, side_exits=20, link_hits=90,
@@ -55,6 +67,11 @@ class CompareHarness(unittest.TestCase):
     """Writes baseline/current trees into a temp dir and runs main()."""
 
     def setUp(self):
+        # CI sets GITHUB_STEP_SUMMARY for every step; keep the tests off it.
+        env = mock.patch.dict(os.environ)
+        env.start()
+        self.addCleanup(env.stop)
+        os.environ.pop("GITHUB_STEP_SUMMARY", None)
         self.tmp = tempfile.TemporaryDirectory()
         self.baseline = os.path.join(self.tmp.name, "baseline")
         self.current = os.path.join(self.tmp.name, "current")
@@ -82,8 +99,30 @@ class TestThroughputGuard(CompareHarness):
         self.put(self.current, "BENCH_sim.json", sim_bench(60e6))
         rc, out, err = self.run_compare()
         self.assertEqual(rc, 1)
+        self.assertIn("alu_loop/isa_sim_block/instr_per_sec", out)
         self.assertIn("REGRESSION", out)
         self.assertIn("FAILED", err)
+
+    def test_lower_is_better_regression_fails(self):
+        # A lower-is-better row regresses when it rises past 1.25x.
+        def shrink(seconds):
+            return bench_doc(bench_row(seconds, workload="pair",
+                                       variant="cold",
+                                       metric="shrink_seconds",
+                                       better="lower"),
+                             bench="shrink_throughput")
+
+        self.put(self.baseline, "BENCH_shrink.json", shrink(1.0))
+        self.put(self.current, "BENCH_shrink.json", shrink(1.3))
+        rc, out, _ = self.run_compare()
+        self.assertEqual(rc, 1)
+        self.assertIn("pair/cold/shrink_seconds", out)
+        self.assertIn("REGRESSION", out)
+        # The same 30% move is an improvement on a lower-is-better row.
+        self.put(self.current, "BENCH_shrink.json", shrink(0.7))
+        rc, out, _ = self.run_compare()
+        self.assertEqual(rc, 0)
+        self.assertNotIn("REGRESSION", out)
 
     def test_small_slowdown_passes(self):
         self.put(self.baseline, "BENCH_sim.json", sim_bench(100e6))
@@ -106,28 +145,94 @@ class TestThroughputGuard(CompareHarness):
         self.assertEqual(rc, 0)
         self.assertIn("skipping", out)
 
+    def test_old_schema_baseline_warns_and_skips(self):
+        # A baseline written before b2stack-bench-v1 (per-bench arrays,
+        # no schema field) is warned about and skipped with exit 0.
+        self.put(self.baseline, "BENCH_sim.json",
+                 {"bench": "sim_throughput",
+                  "kernels": [{"kernel": "alu_loop",
+                               "substrate": "isa_sim_block",
+                               "instr_per_sec": 100e6}]})
+        self.put(self.current, "BENCH_sim.json", sim_bench(10e6))
+        rc, out, err = self.run_compare()
+        self.assertEqual(rc, 0)
+        self.assertIn("WARNING", err)
+        self.assertIn("predates b2stack-bench-v1", err)
+        self.assertNotIn("REGRESSION", out)
+
+    def test_non_v1_current_file_skips(self):
+        # Other BENCH_*.json files (google-benchmark output) are ignored.
+        self.put(self.baseline, "BENCH_verification_perf.json",
+                 {"benchmarks": []})
+        self.put(self.current, "BENCH_verification_perf.json",
+                 {"benchmarks": []})
+        rc, out, _ = self.run_compare()
+        self.assertEqual(rc, 0)
+        self.assertIn("not a b2stack-bench-v1 document", out)
+
     def test_new_substrate_row_skips(self):
         # A substrate the baseline predates (e.g. pipelined_fast) is
         # reported and skipped, never failed.
         self.put(self.baseline, "BENCH_sim.json", sim_bench(100e6))
-        cur = sim_bench(100e6)
-        cur["kernels"].append({"kernel": "firmware_e2e",
-                               "substrate": "pipelined_fast",
-                               "instr_per_sec": 40e6})
-        self.put(self.current, "BENCH_sim.json", cur)
+        self.put(self.current, "BENCH_sim.json",
+                 bench_doc(bench_row(100e6),
+                           bench_row(40e6, workload="firmware_e2e",
+                                     variant="pipelined_fast")))
         rc, out, _ = self.run_compare()
         self.assertEqual(rc, 0)
-        self.assertIn("firmware_e2e/pipelined_fast: new row", out)
+        self.assertIn("firmware_e2e/pipelined_fast/instr_per_sec: new row",
+                      out)
 
     def test_removed_row_skips(self):
-        base = sim_bench(100e6)
-        base["kernels"].append({"kernel": "gone", "substrate": "x",
-                                "instr_per_sec": 5e6})
-        self.put(self.baseline, "BENCH_sim.json", base)
+        self.put(self.baseline, "BENCH_sim.json",
+                 bench_doc(bench_row(100e6),
+                           bench_row(5e6, workload="gone", variant="x")))
         self.put(self.current, "BENCH_sim.json", sim_bench(100e6))
         rc, out, _ = self.run_compare()
         self.assertEqual(rc, 0)
         self.assertIn("row gone", out)
+
+    def test_zero_baseline_skips(self):
+        # A lower-is-better count whose baseline is 0 has no relative bound.
+        def conflicts(n):
+            return bench_doc(bench_row(n, workload="firmware/spi_write",
+                                       variant="staged",
+                                       metric="sat_conflicts",
+                                       better="lower"),
+                             bench="vc_throughput")
+
+        self.put(self.baseline, "BENCH_vc.json", conflicts(0))
+        self.put(self.current, "BENCH_vc.json", conflicts(3))
+        rc, out, _ = self.run_compare()
+        self.assertEqual(rc, 0)
+        self.assertIn("no relative bound, skipping", out)
+        self.assertNotIn("REGRESSION", out)
+
+    def test_duplicate_row_key_is_an_error(self):
+        self.put(self.baseline, "BENCH_sim.json", sim_bench(100e6))
+        self.put(self.current, "BENCH_sim.json",
+                 bench_doc(bench_row(100e6), bench_row(90e6)))
+        rc, out, err = self.run_compare()
+        self.assertEqual(rc, 1)
+        self.assertIn("duplicate row key", out)
+        self.assertIn("FAILED", err)
+
+    def test_step_summary_lists_every_row(self):
+        self.put(self.current, "BENCH_sim.json",
+                 bench_doc(bench_row(100e6),
+                           bench_row(40e6, workload="firmware_e2e",
+                                     variant="pipelined_fast")))
+        summary = os.path.join(self.tmp.name, "summary.md")
+        os.environ["GITHUB_STEP_SUMMARY"] = summary
+        rc, _, _ = self.run_compare()
+        self.assertEqual(rc, 0)
+        with open(summary) as f:
+            text = f.read()
+        self.assertIn("| bench | workload | variant | metric | median | IQR |",
+                      text)
+        self.assertIn("| sim_throughput | alu_loop | isa_sim_block |", text)
+        self.assertIn("| sim_throughput | firmware_e2e | pipelined_fast |",
+                      text)
 
 
 class TestMetricsTrend(CompareHarness):
